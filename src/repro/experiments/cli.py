@@ -10,7 +10,10 @@ Examples
     python -m repro.experiments fig7 --seeds 10 --chart
     python -m repro.experiments --list
 
-Sweep cells are cached under ``--cache-dir`` (content-addressed; see
+``--jobs 1`` (the default) runs the serial reference path in-process;
+``--jobs N`` runs the sweep on N workers of the coordinator/worker
+fabric (see docs/FABRIC.md), byte-identical to the serial run.  Sweep
+cells are cached under ``--cache-dir`` (content-addressed; see
 docs/PERFORMANCE.md), so an interrupted or repeated run only computes
 missing cells; ``--no-cache`` forces a full recompute.  Each run folds a
 machine-readable timing record into ``BENCH_sweeps.json``.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.experiments.executor import append_bench_record, execute_sweep
 from repro.experiments.report import ascii_chart, format_table, shape_summary
@@ -41,23 +45,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of replicated seeds (default: "
                              "scenario-specific)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep cells "
-                             "(default: 1, serial reference path)")
-    parser.add_argument("--fabric", action="store_true",
-                        help="run on the coordinator/worker sweep fabric "
-                             "instead of the process pool (see "
-                             "docs/FABRIC.md); result stays byte-identical")
-    parser.add_argument("--workers", type=int, default=4, metavar="N",
-                        help="fabric worker count (default: 4; only with "
-                             "--fabric)")
-    parser.add_argument("--fabric-transport",
-                        choices=("thread", "process", "socket", "tcp"),
-                        default="process",
-                        help="fabric transport (default: process; 'tcp' "
+                        help="fabric worker processes for sweep cells "
+                             "(default: 1, the in-process serial reference "
+                             "path unless --fabric-transport is given); the "
+                             "result is byte-identical for any N (see "
+                             "docs/FABRIC.md)")
+    parser.add_argument("--fabric-transport", choices=("socket", "tcp"),
+                        default=None,
+                        help="run on the fabric even with --jobs 1 "
+                             "(default for --jobs N > 1: socket; 'tcp' "
                              "binds --listen and accepts remote workers "
                              "mid-run)")
-    parser.add_argument("--listen", metavar="HOST:PORT",
-                        default="127.0.0.1:0",
+    parser.add_argument("--listen", metavar="HOST:PORT", default=None,
                         help="tcp transport only: the coordinator's bind "
                              "address (default: 127.0.0.1:0, an ephemeral "
                              "loopback port; the bound address is printed "
@@ -183,19 +182,23 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def _execute(args, spec, session):
-    """Run one sweep on whichever backend the flags picked.
+    """Run one sweep serially or on the fabric, as the flags say.
 
-    Returns ``(result, timing, fabric_stats)`` with ``fabric_stats``
-    None on the pool path.
+    Serial iff ``--jobs 1`` and no ``--fabric-transport``.  Returns
+    ``(result, timing, fabric_stats)`` with ``fabric_stats`` None on
+    the serial path.
     """
     cache_dir = None if args.no_cache else args.cache_dir
-    if not args.fabric:
-        if args.fabric_chaos is not None:
-            raise SystemExit("--fabric-chaos needs --fabric")
-        if args.fabric_token is not None:
-            raise SystemExit("--fabric-token needs --fabric")
-        result, timing = execute_sweep(spec, seeds=args.seeds,
-                                       jobs=args.jobs, cache_dir=cache_dir,
+    if args.jobs == 1 and args.fabric_transport is None:
+        for flag, value in (("--fabric-chaos", args.fabric_chaos),
+                            ("--fabric-token", args.fabric_token),
+                            ("--listen", args.listen)):
+            if value is not None:
+                build_parser().error(
+                    f"{flag} needs a fabric run (--jobs N > 1 or "
+                    f"--fabric-transport)")
+        result, timing = execute_sweep(spec, seeds=args.seeds, jobs=1,
+                                       cache_dir=cache_dir,
                                        obs_session=session,
                                        runtime_dir=args.runtime_telemetry,
                                        progress=args.progress)
@@ -205,9 +208,11 @@ def _execute(args, spec, session):
 
     chaos = (WorkerChaos.parse(args.fabric_chaos)
              if args.fabric_chaos is not None else None)
-    config = FabricConfig(workers=args.workers,
-                          transport=args.fabric_transport, chaos=chaos,
-                          listen=args.listen, token=args.fabric_token)
+    config = FabricConfig(workers=args.jobs,
+                          transport=args.fabric_transport or "socket",
+                          chaos=chaos, token=args.fabric_token)
+    if args.listen is not None:
+        config = replace(config, listen=args.listen)
     return execute_sweep_fabric(spec, seeds=args.seeds, config=config,
                                 cache_dir=cache_dir, obs_session=session,
                                 runtime_dir=args.runtime_telemetry,

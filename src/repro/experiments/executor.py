@@ -1,16 +1,17 @@
-"""Parallel sweep execution with a content-addressed cell cache.
+"""Sweep execution with a content-addressed cell cache.
 
 A sweep is a grid of independent *cells*: one ``(x value, seed)`` pair,
 inside which every variant runs back-to-back on one shared platform (the
 paper's identical-environments methodology lives entirely *inside* a
 cell).  Cells never communicate, so the executor can
 
-* fan them out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``jobs > 1``) while keeping the merged :class:`~repro.experiments.
-  runner.SweepResult` **bit-identical** to the serial reference: results
-  are keyed by grid coordinates and merged in ``(x, seed)`` order, so
-  completion order is irrelevant, and floats cross process boundaries via
-  pickle (exact) or JSON ``repr`` round-trips (also exact);
+* run them on the coordinator/worker fabric (``jobs > 1``, see
+  :mod:`repro.experiments.fabric`) while keeping the merged
+  :class:`~repro.experiments.runner.SweepResult` **bit-identical** to
+  the serial reference: results are keyed by grid coordinates and
+  merged in ``(x, seed)`` order, so completion order is irrelevant, and
+  floats cross process boundaries via pickle (exact) or JSON ``repr``
+  round-trips (also exact);
 * skip cells whose results are already on disk: the cache key is a
   SHA-256 over the scenario name, the spec fingerprint (declarative
   fields plus builder source), the cell coordinates, and the package
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -151,11 +151,10 @@ def compute_cell_timed(spec: ExperimentSpec, x: float, seed: int, *,
                        ) -> "tuple[CellResult, float]":
     """:func:`compute_cell` plus its wall-clock compute time in seconds.
 
-    The wall time is measured *inside* the computing process (pool
-    worker or fabric worker), feeds the per-cell percentile columns of
-    :class:`SweepTiming` and the runtime telemetry plane
-    (:mod:`repro.obs.runtime`), and never touches the deterministic
-    :class:`CellResult` itself.
+    The wall time is measured *inside* the computing process, feeds
+    the per-cell percentile columns of :class:`SweepTiming` and the
+    runtime telemetry plane (:mod:`repro.obs.runtime`), and never
+    touches the deterministic :class:`CellResult` itself.
     """
     started = time.perf_counter()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
     cell = compute_cell(spec, x, seed, instrument=instrument)
@@ -271,9 +270,6 @@ class SweepTiming:
     engine_events: int
     x_points: int
     seeds: int
-    mode: str = "pool"
-    """Execution backend: ``"pool"`` (in-process / ProcessPoolExecutor)
-    or ``"fabric"`` (coordinator + workers, :mod:`.fabric`)."""
     cell_wall_p50: float = 0.0
     """Median wall seconds per *computed* cell (0.0 when every cell was
     a cache hit).  Measured inside the computing process."""
@@ -296,7 +292,6 @@ class SweepTiming:
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "mode": self.mode,
             "jobs": self.jobs,
             "wall_time_s": self.wall_time,
             "cells_total": self.cells_total,
@@ -323,20 +318,19 @@ def append_bench_record(path: "str | os.PathLike",
                         timing: SweepTiming) -> dict:
     """Fold one timing record into a ``BENCH_sweeps.json`` file.
 
-    Records are keyed by ``(scenario, mode, jobs)``; the latest run wins,
-    and the file stays sorted so diffs across commits read as a
-    trajectory.  Document version 4 added the per-cell wall-time
-    percentile columns (``cell_wall_p50_s``/``p95``/``max``); legacy
-    version-2/3 records still parse (they simply lack those keys, and
-    pre-version-3 records default to mode ``"pool"``).  The write is atomic (temp file + ``os.replace``, the
-    cell cache's pattern), so a reader -- or a concurrent sweep
-    invocation -- never observes a half-written file; an existing file
-    that fails to parse is preserved next to the new one (``.corrupt``
-    suffix) rather than silently destroyed.  Returns the document
-    written.
+    Records are keyed by ``(scenario, jobs)``; the latest run wins, and
+    the file stays sorted so diffs across commits read as a trajectory.
+    Document version 5 dropped the ``mode`` key (``jobs > 1`` has one
+    backend); legacy records still parse, with any ``mode`` ignored and
+    the later record winning when two legacy records share a key.  The
+    write is atomic (temp file + ``os.replace``, the cell cache's
+    pattern), so a reader -- or a concurrent sweep invocation -- never
+    observes a half-written file; an existing file that fails to parse
+    is preserved next to the new one (``.corrupt`` suffix) rather than
+    silently destroyed.  Returns the document written.
     """
     path = Path(path)
-    records: "dict[tuple[str, str, int], dict]" = {}
+    records: "dict[tuple[str, int], dict]" = {}
     try:
         text = path.read_text()
     except OSError:
@@ -344,16 +338,16 @@ def append_bench_record(path: "str | os.PathLike",
     if text is not None:
         try:
             for record in json.loads(text)["records"]:
-                record.setdefault("mode", "pool")
-                records[(str(record["scenario"]), str(record["mode"]),
+                record.pop("mode", None)
+                records[(str(record["scenario"]),
                          int(record["jobs"]))] = record
         except (ValueError, TypeError, KeyError, AttributeError):
             # Unparseable perf file: keep the evidence, start fresh.
             path.with_name(f"{path.name}.corrupt").write_text(text)
             records = {}
     record = timing.to_dict()
-    records[(record["scenario"], record["mode"], record["jobs"])] = record
-    doc = {"version": 4, "tool": "sweep-bench",
+    records[(record["scenario"], record["jobs"])] = record
+    doc = {"version": 5, "tool": "sweep-bench",
            "records": [records[key] for key in sorted(records)]}
     path.parent.mkdir(parents=True, exist_ok=True)
     # Unique per process *and* per call: concurrent appenders (processes
@@ -389,7 +383,7 @@ def plan_cells(spec: ExperimentSpec, seed_list: "list[int]",
                cache: "CellCache | None", *, instrument: bool = False,
                on_point: "Callable[[float, int], None] | None" = None,
                ) -> "tuple[dict[tuple[int, int], CellResult], list[PendingCell]]":
-    """Grid-order cache scan shared by the pool executor and the fabric.
+    """Grid-order cache scan shared by the serial executor and the fabric.
 
     Returns ``(cells, pending)``: the cache hits keyed by ``(xi, si)``
     and the grid-ordered list of cells still to compute (with the digest
@@ -431,16 +425,17 @@ def fold_obs(obs_session: "obs.ObsSession", spec: ExperimentSpec,
 
 
 def cell_failure(spec: ExperimentSpec, x: float, seed: int,
-                 exc: BaseException) -> ExperimentError:
+                 error: str) -> ExperimentError:
     """The error raised when one cell's computation fails.
 
-    Always carries the cell's full coordinates -- ``(scenario, x, seed)``
-    -- so a failure deep inside a worker process (or a fabric worker on
-    another machine) is attributable without re-running the sweep.
+    ``error`` is the ``"Type: message"`` summary of the original
+    exception.  The result always carries the cell's full coordinates --
+    ``(scenario, x, seed)`` -- so a failure deep inside a worker process
+    (or a fabric worker on another machine) is attributable without
+    re-running the sweep.
     """
     return ExperimentError(
-        f"{spec.name}: cell (x={x!r}, seed={seed}) failed: "
-        f"{type(exc).__name__}: {exc}")
+        f"{spec.name}: cell (x={x!r}, seed={seed}) failed: {error}")
 
 
 def merge_cells(spec: ExperimentSpec, seed_list: "list[int]",
@@ -502,9 +497,10 @@ def execute_sweep(spec: ExperimentSpec,
         (``range(spec.default_seeds)``).
     jobs:
         Worker processes.  ``1`` (the default) runs every cell in-process
-        in grid order -- the reference implementation.  ``jobs > 1``
-        requires the spec's builder to be picklable (a module-level
-        function, as all registered scenarios are).
+        in grid order -- the reference implementation.  ``jobs > 1`` runs
+        the sweep on ``jobs`` socket workers of the fabric
+        (:func:`~repro.experiments.fabric.execute_sweep_fabric`), which
+        also recovers from a lost worker.
     cache_dir:
         Root of the content-addressed cell cache, or None to disable
         caching.  Only cells missing from the cache are computed.
@@ -537,6 +533,14 @@ def execute_sweep(spec: ExperimentSpec,
 
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1:
+        from repro.experiments.fabric import execute_sweep_fabric
+
+        result, timing, _stats = execute_sweep_fabric(
+            spec, seeds, workers=jobs, transport="socket",
+            cache_dir=cache_dir, on_point=on_point, obs_session=obs_session,
+            runtime_dir=runtime_dir, progress=progress)
+        return result, timing
     seed_list = _normalize_seeds(spec, seeds)
     instrument = obs_session is not None
     cells_total = len(spec.x_values) * len(seed_list)
@@ -551,7 +555,6 @@ def execute_sweep(spec: ExperimentSpec,
         cells, pending = plan_cells(spec, seed_list, cache,
                                     instrument=instrument, on_point=on_point)
         walls: "list[float]" = []
-        pool_workers = min(jobs, len(pending)) if pending else 0
         if telemetry is not None:
             telemetry.progress.cache_hits = cells_total - len(pending)
             telemetry.event("run.start", scenario=spec.name, jobs=jobs,
@@ -559,7 +562,13 @@ def execute_sweep(spec: ExperimentSpec,
                             cache_hits=cells_total - len(pending))
             telemetry.tick(len(cells), force=True)
 
-        def _arrived(xi, si, x, seed, digest, cell, wall):
+        for xi, si, x, seed, digest in pending:
+            try:
+                cell, wall = compute_cell_timed(spec, x, seed,
+                                                instrument=instrument)
+            except Exception as exc:
+                raise cell_failure(spec, x, seed,
+                                   f"{type(exc).__name__}: {exc}") from exc
             walls.append(wall)
             cells[(xi, si)] = cell
             if telemetry is not None:
@@ -568,41 +577,7 @@ def execute_sweep(spec: ExperimentSpec,
             if cache is not None:
                 cache.store(digest, cell, scenario=spec.name, x=x, seed=seed)
             if telemetry is not None:
-                telemetry.tick(len(cells), active_workers=pool_workers)
-
-        if pending and jobs == 1:
-            for xi, si, x, seed, digest in pending:
-                try:
-                    cell, wall = compute_cell_timed(spec, x, seed,
-                                                    instrument=instrument)
-                except Exception as exc:
-                    raise cell_failure(spec, x, seed, exc) from exc
-                _arrived(xi, si, x, seed, digest, cell, wall)
-        elif pending:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending))) as pool:
-                futures = {
-                    pool.submit(compute_cell_timed, spec, x, seed,
-                                instrument=instrument):
-                        (xi, si, x, seed, digest)
-                    for xi, si, x, seed, digest in pending}
-                try:
-                    for future in as_completed(futures):
-                        xi, si, x, seed, digest = futures[future]
-                        try:
-                            cell, wall = future.result()
-                        except Exception as exc:
-                            raise cell_failure(spec, x, seed, exc) from exc
-                        _arrived(xi, si, x, seed, digest, cell, wall)
-                except BaseException:
-                    # One cell failed (or the caller interrupted): cancel
-                    # everything not yet started and drain the cells already
-                    # running, so no orphaned worker outlives the sweep and
-                    # the raised error is the first failure, not a pile-up.
-                    for other in futures:
-                        other.cancel()
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
+                telemetry.tick(len(cells), active_workers=1)
 
         result = merge_cells(spec, seed_list, cells)
         if obs_session is not None:

@@ -21,7 +21,6 @@ from repro.experiments.fabric.core import (  # noqa: F401
     Coordinator,
     FabricConfig,
     FabricStats,
-    ProcessTransport,
     SocketTransport,
     TcpTransport,
     ThreadTransport,
@@ -73,7 +72,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MESSAGE_KINDS",
     "PROTOCOL_VERSION",
-    "ProcessTransport",
     "REQUEST_WORK",
     "SHUTDOWN",
     "SocketTransport",

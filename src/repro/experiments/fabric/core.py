@@ -1,24 +1,16 @@
 """Distributed sweep fabric: one coordinator, N workers, typed messages.
 
-The :mod:`~repro.experiments.executor` fans cells over a single
-machine's ``ProcessPoolExecutor``; this module is the scale-out story
-(ROADMAP item 1, in the style of panda-yoda's Yoda/Droid split): a
+This is the only parallel path of the sweep executor:
+``execute_sweep(jobs=N)`` with ``N > 1`` (and the CLI's ``--jobs N``)
+runs here, in the style of panda-yoda's Yoda/Droid split: a
 **coordinator** streams ``(x, seed)`` cells through a work queue with
 batched *leases*, **workers** pull cells and push results, and every
 conversation is a typed, versioned :class:`Envelope` carried by a
 pluggable transport:
 
-* ``thread``   -- in-process queues; workers are daemon threads.  Cell
-  computation is serialized by a lock (the simulation uses per-process
-  ambient state -- the obs session, the kernel event tally -- that
-  threads would trample), so this transport exists to exercise the full
-  message protocol deterministically in tests, not for speedup.
-* ``process``  -- one ``multiprocessing.Process`` per worker over a
-  duplex ``Pipe``.  The real same-machine backend.
-* ``socket``   -- workers connect to the coordinator over a Unix-domain
-  socket carrying length-prefixed pickled envelopes.  The worker side
-  only needs the address, so the same protocol extends to remote
-  launchers.
+* ``socket``   -- the default: one ``multiprocessing.Process`` per
+  worker, connected back to the coordinator over a Unix-domain socket
+  carrying length-prefixed pickled envelopes.
 * ``tcp``      -- the cross-host story: the coordinator binds a TCP
   listener (``FabricConfig.listen``), launches its local fleet over
   loopback, and *additionally* accepts remote workers bootstrapped with
@@ -26,6 +18,12 @@ pluggable transport:
   any point of the run -- late joiners pass the HELLO/WELCOME handshake
   (token, protocol version, spec fingerprint; see
   :mod:`repro.experiments.fabric.wire`) and are leased work mid-run.
+* ``thread``   -- the tests' in-process fake: workers are daemon threads
+  over in-process queues.  Cell computation is serialized by a lock
+  (the simulation uses per-process ambient state -- the obs session,
+  the kernel event tally -- that threads would trample), so this
+  transport exercises the full message protocol deterministically, not
+  for speedup.
 
 Protocol (see docs/FABRIC.md for the full schema):
 
@@ -64,6 +62,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -75,8 +74,8 @@ from repro.experiments.executor import (CellCache, CellResult, SweepTiming,
                                         merge_cells, plan_cells)
 from repro.experiments.fabric.wire import (COORDINATOR, WELCOME,
                                            ChannelClosed, Envelope,
-                                           HandshakeInfo, _PipeChannel,
-                                           _QueuePair, _SocketChannel,
+                                           HandshakeInfo, _QueuePair,
+                                           _SocketChannel,
                                            check_hello, client_handshake,
                                            welcome_payload)
 from repro.experiments.fabric.wire import (ASSIGN_CELLS, CELL_RESULT, DRAIN,  # noqa: F401  (re-exported protocol surface)
@@ -152,7 +151,7 @@ class FabricConfig:
     """Everything that shapes one fabric run (but never its result)."""
 
     workers: int = 2
-    transport: str = "process"
+    transport: str = "socket"
     lease_size: int = 4
     """Cells per ``ASSIGN_CELLS`` batch."""
     lease_timeout: float = 30.0
@@ -186,10 +185,10 @@ class FabricConfig:
             raise FabricError(f"workers must be >= 1, got {self.workers}")
         if self.lease_size < 1:
             raise FabricError(f"lease_size must be >= 1, got {self.lease_size}")
-        if self.transport not in ("thread", "process", "socket", "tcp"):
+        if self.transport not in ("thread", "socket", "tcp"):
             raise FabricError(
                 f"unknown transport {self.transport!r}; pick from "
-                f"('thread', 'process', 'socket', 'tcp')")
+                f"('thread', 'socket', 'tcp')")
         if self.handshake_timeout <= 0:
             raise FabricError(
                 f"handshake_timeout must be > 0, got {self.handshake_timeout}")
@@ -293,12 +292,12 @@ def _apply_chaos(config: WorkerConfig, cells_done: int,
 
 def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                 config: WorkerConfig) -> None:
-    """The worker loop every transport runs (thread, process, or remote).
+    """The worker loop every transport runs (thread, socket, or remote).
 
     Pull-based: request work, compute each leased cell, push a
     ``CELL_RESULT`` per cell (success or failure -- a failing cell is
-    reported with its coordinates, not swallowed), heartbeat between
-    cells, and repeat until ``SHUTDOWN``.
+    reported with its coordinates and traceback, not swallowed),
+    heartbeat between cells, and repeat until ``SHUTDOWN``.
 
     Every result carries ``wall_s`` -- the wall-clock seconds the cell
     took *in this worker* -- feeding the coordinator's per-cell wall
@@ -359,7 +358,8 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                 except Exception as exc:
                     send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
                          si=cell["si"], x=x, seed=seed, ok=False,
-                         error=f"{type(exc).__name__}: {exc}")
+                         error=f"{type(exc).__name__}: {exc}",
+                         traceback=traceback.format_exc())
                     log("cell.failed", lease=lease_id, xi=cell["xi"],
                         si=cell["si"], error=type(exc).__name__)
                     continue
@@ -383,10 +383,6 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
         if recorder is not None:
             recorder.close()
         channel.close()
-
-
-def _process_worker_entry(conn, spec, instrument, config):  # pragma: no cover - child process
-    worker_main(_PipeChannel(conn), spec, instrument, config)
 
 
 def _socket_worker_entry(address, spec, instrument, config):  # pragma: no cover - child process
@@ -528,46 +524,9 @@ class ThreadTransport:
         pass
 
 
-class ProcessTransport:
-    """One ``multiprocessing.Process`` per worker over a duplex pipe."""
-
-    name = "process"
-
-    def launch(self, spec, instrument, config: WorkerConfig) -> WorkerHandle:
-        import multiprocessing
-
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        process = multiprocessing.Process(
-            target=_process_worker_entry,
-            args=(child_conn, spec, instrument, config),
-            name=f"fabric-{config.worker_id}", daemon=True)
-        process.start()
-        child_conn.close()  # the parent keeps only its own end
-
-        def kill() -> None:
-            if process.is_alive():
-                process.kill()
-
-        return WorkerHandle(
-            worker_id=config.worker_id, channel=_PipeChannel(parent_conn),
-            is_alive=process.is_alive, kill=kill,
-            join=lambda timeout: process.join(timeout),
-            started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
-
-    def poll_peers(self) -> "list[tuple[object, Envelope]]":
-        return []  # pipes are created pairwise at launch; no listener
-
-    def close(self) -> None:
-        pass
-
-
 class SocketTransport:
-    """Workers connect back over a Unix-domain socket.
-
-    The launcher here spawns local processes for the test/benchmark
-    story, but the worker side (:func:`_socket_worker_entry`) needs only
-    the address -- the same protocol serves remote launchers.
-    """
+    """One local process per worker, connected back over a Unix-domain
+    socket: the same-host transport behind ``jobs > 1``."""
 
     name = "socket"
 
@@ -809,8 +768,6 @@ def make_transport(name: str, *,
                    handshake_timeout: float = 5.0):
     if name == "thread":
         return ThreadTransport()
-    if name == "process":
-        return ProcessTransport()
     if name == "socket":
         return SocketTransport()
     if name == "tcp":
@@ -940,7 +897,6 @@ class Coordinator:
         self.stats.workers_started += 1
         self.stats.remote_workers_joined += 1
         self._tel_event("worker.joined", worker_id=worker_id, remote=True)
-        self._tel_count("runtime.workers_started_total")
 
     def _mint_worker_id(self) -> str:
         """A counter id no *live* worker holds.
@@ -971,7 +927,6 @@ class Coordinator:
         self._workers[worker_id] = _Worker(handle=handle,
                                            last_seen=handle.started)
         self.stats.workers_started += 1
-        self._tel_count("runtime.workers_started_total")
 
     def _record_lifetime(self, worker_id: str, handle: WorkerHandle,
                          now: float) -> None:
@@ -994,7 +949,6 @@ class Coordinator:
         self._record_lifetime(worker_id, worker.handle, now)
         self._tel_event("worker.exit", worker_id=worker_id, reason=reason,
                         lifetime_s=now - worker.handle.started)
-        self._tel_count("runtime.workers_lost_total")
         if worker.lease is not None:
             self.stats.revoked_leases += 1
             requeued = 0
@@ -1032,10 +986,6 @@ class Coordinator:
         from repro.obs.runtime import _NullSpan
         return _NullSpan()
 
-    def _tel_count(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(name).inc(amount)
-
     # -- message handling ---------------------------------------------------
 
     def _assign(self, worker: _Worker) -> None:
@@ -1058,7 +1008,6 @@ class Coordinator:
         self._tel_event("lease.assign", lease=lease.lease_id,
                         worker_id=worker.handle.worker_id,
                         cells=len(batch))
-        self._tel_count("runtime.leases_total")
         worker.handle.channel.send(Envelope(
             kind=ASSIGN_CELLS, sender=COORDINATOR,
             payload={"lease": lease.lease_id, "cells": batch}))
@@ -1068,10 +1017,14 @@ class Coordinator:
         key = (int(payload["xi"]), int(payload["si"]))
         if not payload.get("ok", False):
             # A failing cell is a sweep failure, with full coordinates --
-            # record it, then drain the fleet before raising.
-            exc = FabricError(str(payload.get("error", "unknown error")))
+            # record it, then drain the fleet before raising.  Exception
+            # objects cannot cross the restricted unpickler, so the
+            # worker's formatted traceback stands in as the cause.
+            error = str(payload.get("error", "unknown error"))
             self._failure = cell_failure(self.spec, payload["x"],
-                                         payload["seed"], exc)
+                                         payload["seed"], error)
+            self._failure.__cause__ = FabricError(
+                str(payload.get("traceback") or error))
             return
         if worker.lease is not None:
             worker.lease.outstanding.discard(key)
@@ -1147,7 +1100,7 @@ class Coordinator:
 
         self._transport = self._make_transport()
         try:
-            for _ in range(self.config.workers):
+            for _ in range(min(self.config.workers, len(pending))):
                 self._launch_worker()
             while len(self.cells) < total and self._failure is None:
                 if not self._drive():
@@ -1249,10 +1202,11 @@ def execute_sweep_fabric(spec: ExperimentSpec,
                          ) -> "tuple[SweepResult, SweepTiming, FabricStats]":
     """Run a sweep on the coordinator/worker fabric.
 
-    Drop-in sibling of :func:`~repro.experiments.executor.execute_sweep`:
-    the merged :class:`SweepResult` is **byte-identical** to the serial
-    reference for any worker count, transport, injected worker loss, or
-    cache state.  Returns ``(result, timing, stats)``; ``stats`` carries
+    The parallel path of :func:`~repro.experiments.executor.execute_sweep`,
+    which calls it for ``jobs > 1`` and drops ``stats``.  The merged
+    :class:`SweepResult` is **byte-identical** to the serial reference
+    for any worker count, transport, injected worker loss, or cache
+    state.  Returns ``(result, timing, stats)``; ``stats`` carries
     the fabric's operational counters (leases, requeues, heartbeats,
     worker lifetimes), which -- unlike the result -- legitimately vary
     run to run.
@@ -1296,12 +1250,12 @@ def execute_sweep_fabric(spec: ExperimentSpec,
         cells = coordinator.run()
     except BaseException:
         if telemetry is not None:
+            _record_fabric_metrics(telemetry.metrics, coordinator.stats)
             telemetry.finalize(state="failed")
         raise
     result = merge_cells(spec, seed_list, cells)
     if obs_session is not None:
         fold_obs(obs_session, spec, seed_list, cells)
-        _fold_fabric_metrics(obs_session, coordinator.stats)
 
     wall = time.perf_counter() - started  # simlint: disable=SL001 (perf record of the host run, not simulated time)
     computed_keys = sorted(coordinator._cell_specs)
@@ -1314,20 +1268,15 @@ def execute_sweep_fabric(spec: ExperimentSpec,
         iterations=sum(cell.iterations for cell in computed),
         engine_events=sum(cell.engine_events for cell in computed),
         x_points=len(spec.x_values), seeds=len(seed_list),
-        mode="fabric", cell_wall_p50=walls["p50"],
-        cell_wall_p95=walls["p95"], cell_wall_max=walls["max"])
+        cell_wall_p50=walls["p50"], cell_wall_p95=walls["p95"],
+        cell_wall_max=walls["max"])
     if telemetry is not None:
         metrics = telemetry.metrics
         metrics.counter("runtime.cells_computed_total").inc(
             len(computed_keys))
         metrics.counter("runtime.cache_hits_total").inc(
             total - len(computed_keys))
-        metrics.counter("runtime.cells_requeued_total").inc(
-            coordinator.stats.requeued_cells)
-        metrics.counter("runtime.duplicate_results_total").inc(
-            coordinator.stats.duplicate_results)
-        metrics.counter("runtime.heartbeats_total").inc(
-            coordinator.stats.heartbeats)
+        _record_fabric_metrics(metrics, coordinator.stats)
         telemetry.finalize(done=len(cells))
     return result, timing, coordinator.stats
 
@@ -1336,15 +1285,14 @@ def execute_sweep_fabric(spec: ExperimentSpec,
 LIFETIME_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
 
 
-def _fold_fabric_metrics(session: "obs.ObsSession", stats: FabricStats,
-                         ) -> None:
-    """Record the fabric's operational counters into the obs registry.
+def _record_fabric_metrics(metrics, stats: FabricStats) -> None:
+    """Record the fabric's operational counters (``fabric.*``) into the
+    runtime telemetry registry, once, at the end of the run.
 
-    These are host-side, wall-clock-flavored metrics (``fabric.*``) --
-    deliberately separate from the deterministic simulation metrics, and
-    excluded from any byte-identity comparison.
+    They are host-side and vary run to run, so they belong to the
+    runtime plane -- never to the sim-time registry that byte-identity
+    gates compare.
     """
-    metrics = session.metrics
     metrics.counter("fabric.leases_total").inc(stats.leases)
     metrics.counter("fabric.cells_requeued_total").inc(stats.requeued_cells)
     metrics.counter("fabric.leases_revoked_total").inc(stats.revoked_leases)

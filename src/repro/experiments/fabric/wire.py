@@ -183,39 +183,6 @@ class _QueuePair:
         pass
 
 
-class _PipeChannel:
-    """Process-transport channel half: one end of ``multiprocessing.Pipe``."""
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def send(self, env: Envelope) -> None:
-        try:
-            self._conn.send(env)
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise ChannelClosed(f"pipe send failed: {exc}") from exc
-
-    def poll(self) -> bool:
-        try:
-            return self._conn.poll()
-        except (OSError, ValueError):
-            raise ChannelClosed("pipe poll failed")
-
-    def recv(self, timeout: "float | None" = None) -> "Envelope | None":
-        try:
-            if not self._conn.poll(timeout):
-                return None
-            return self._conn.recv()
-        except (EOFError, OSError, ValueError) as exc:
-            raise ChannelClosed(f"pipe closed: {exc}") from exc
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
 class _SocketChannel:
     """Socket-transport channel half: length-prefixed pickled envelopes.
 

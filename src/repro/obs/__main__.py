@@ -36,7 +36,7 @@ Examples::
     python -m repro.obs report fig7.jsonl --metrics fig7-metrics.json \\
         --out fig7-report
     python -m repro.obs lint fig7.jsonl --metrics fig7-metrics.json
-    python -m repro.experiments fig7 --fabric --runtime-telemetry rt/
+    python -m repro.experiments fig7 --jobs 4 --runtime-telemetry rt/
     python -m repro.obs timeline rt/ && python -m repro.obs tail rt/
 """
 

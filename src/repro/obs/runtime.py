@@ -17,7 +17,7 @@ planes"):
 The plane has four parts:
 
 * :class:`RuntimeRecorder` -- a structured wall-clock event log.  Each
-  process of a run (coordinator, every fabric worker, the pool executor)
+  process of a run (coordinator, every fabric worker, the serial executor)
   appends JSONL records to its own ``spans-<role>.jsonl`` file in a
   shared *run directory*, flushed per line so a follower sees them live.
 * :func:`fleet_timeline` / :func:`wall_summary` -- render a run
@@ -89,7 +89,7 @@ class RuntimeRecorder:
 
     One recorder per process-and-role: the fabric coordinator owns
     ``spans-coordinator.jsonl``, worker ``w3`` owns
-    ``spans-worker-w3.jsonl``, the pool executor owns
+    ``spans-worker-w3.jsonl``, the serial executor owns
     ``spans-executor.jsonl``.  Records are flushed per line so crashes
     lose at most the record being written (the loader tolerates a torn
     final line) and a live follower sees events as they happen.

@@ -70,6 +70,32 @@ def test_jobs_flag_runs_parallel(capsys):
     assert main(["fig4", "--seeds", "1", "--jobs", "2", *QUIET]) == 0
     out = capsys.readouterr().out
     assert "2 job(s)" in out
+    assert "[fabric: 2 socket worker(s)" in out  # --jobs N is the fabric
+
+
+def test_parser_has_no_backend_switches():
+    args = build_parser().parse_args(["fig7"])
+    assert args.fabric_transport is None
+    for gone in ("--fabric", "--workers"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig7", gone])
+
+
+@pytest.mark.parametrize("flag", [["--fabric-chaos", "kill:0:1"],
+                                  ["--fabric-token", "s3cret"],
+                                  ["--listen", "127.0.0.1:0"]])
+def test_fabric_flags_on_a_serial_run_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig4", "--seeds", "1", *flag, *QUIET])
+    assert excinfo.value.code == 2
+    assert f"{flag[0]} needs a fabric run" in capsys.readouterr().err
+
+
+def test_fabric_transport_with_one_job_runs_on_the_fabric(capsys):
+    assert main(["fig4", "--seeds", "1", "--fabric-transport", "socket",
+                 *QUIET]) == 0
+    out = capsys.readouterr().out
+    assert "[fabric: 1 socket worker(s)" in out
 
 
 def test_cache_and_bench_threading(tmp_path, capsys):

@@ -14,6 +14,7 @@ The load-bearing guarantees:
   carrying ``(scenario, x, seed)``, not a hang or a bare traceback.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -39,7 +40,7 @@ from repro.strategies.swapstrat import SwapStrategy
 
 
 def _tiny_build(x, seed):
-    # Module-level so the spec pickles into process/socket workers.
+    # Module-level so the spec pickles into socket/tcp workers.
     platform = make_platform(3, ConstantLoadModel(int(x)), seed=seed,
                              speed_range=(100e6, 200e6))
     app = ApplicationSpec(n_processes=2, iterations=3,
@@ -136,12 +137,12 @@ def test_config_validation():
 # -- byte-identity across transports ----------------------------------------
 
 
-@pytest.mark.parametrize("transport", ["thread", "process", "socket", "tcp"])
+@pytest.mark.parametrize("transport", ["thread", "socket", "tcp"])
 def test_fabric_matches_serial_byte_identical(transport):
     result, timing, stats = execute_sweep_fabric(
         TINY, seeds=2, workers=3, transport=transport)
     assert _canon(result) == SERIAL
-    assert timing.mode == "fabric"
+    assert timing.jobs == 3
     assert timing.cells_computed == 6
     assert stats.leases >= 1
     assert stats.workers_started == 3
@@ -172,13 +173,23 @@ def test_fabric_populates_and_reuses_cache(tmp_path):
 
 
 def test_fabric_and_pool_share_one_cache(tmp_path):
+    # jobs > 1 (socket workers), the thread fake and the serial path all
+    # address the same cache entries.
     execute_sweep(TINY, seeds=2, jobs=2, cache_dir=tmp_path)
     _result, timing, _ = execute_sweep_fabric(
         TINY, seeds=2, workers=2, transport="thread", cache_dir=tmp_path)
     assert timing.cells_computed == 0  # same content addresses
 
-    _result, pool_timing = execute_sweep(TINY, seeds=2, cache_dir=tmp_path)
-    assert pool_timing.cells_computed == 0
+    _result, serial_timing = execute_sweep(TINY, seeds=2, cache_dir=tmp_path)
+    assert serial_timing.cells_computed == 0
+
+
+def test_fleet_never_outnumbers_pending_cells():
+    pair = dataclasses.replace(TINY, name="tiny-pair", x_values=(0.0,))
+    _result, timing, stats = execute_sweep_fabric(
+        pair, seeds=2, workers=4, transport="thread")
+    assert timing.cells_computed == 2
+    assert stats.workers_started == 2
 
 
 # -- recovery semantics ------------------------------------------------------
@@ -198,7 +209,7 @@ def test_worker_crash_mid_lease_requeues_and_stays_identical():
 
 def test_hard_process_kill_requeues_and_stays_identical():
     config = FabricConfig(
-        workers=2, transport="process", lease_size=2,
+        workers=2, transport="socket", lease_size=2,
         chaos=WorkerChaos(mode="kill", worker="w0", after_cells=1))
     result, _timing, stats = execute_sweep_fabric(TINY, seeds=2,
                                                   config=config)
@@ -303,32 +314,39 @@ def test_failing_cell_surfaces_with_coordinates():
 def test_failing_cell_on_process_transport():
     with pytest.raises(ExperimentError, match="poisoned-fabric"):
         execute_sweep_fabric(POISONED, seeds=1, workers=2,
-                             transport="process")
+                             transport="socket")
 
 
 # -- observability -----------------------------------------------------------
 
 
-def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics():
+def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics(tmp_path):
     from repro import obs
 
-    pool_session = obs.ObsSession()
-    execute_sweep(TINY, seeds=2, obs_session=pool_session)
+    serial_session = obs.ObsSession()
+    execute_sweep(TINY, seeds=2, obs_session=serial_session)
 
     fabric_session = obs.ObsSession()
+    run_dir = tmp_path / "rt"
     _result, _timing, stats = execute_sweep_fabric(
         TINY, seeds=2, workers=2, transport="thread",
-        obs_session=fabric_session)
+        obs_session=fabric_session, runtime_dir=run_dir)
 
-    # The simulation trace is merged in grid order: byte-identical.
-    assert fabric_session.trace.records == pool_session.trace.records
-    counters = fabric_session.metrics.to_dict()["counters"]
-    assert counters["fabric.leases_total"] == stats.leases
-    assert counters["fabric.workers_started_total"] == 2
-    assert counters["fabric.heartbeats_total"] >= 1
-    lifetimes = fabric_session.metrics.to_dict()["histograms"][
-        "fabric.worker_lifetime_seconds"]
-    assert lifetimes["count"] == 2
+    # The simulation plane is merged in grid order: byte-identical, and
+    # free of the fabric's host-side counters.
+    assert fabric_session.trace.records == serial_session.trace.records
+    assert fabric_session.metrics.to_json() == serial_session.metrics.to_json()
+
+    # Those counters live in FabricStats and the runtime registry.
+    assert stats.leases >= 1
+    assert stats.workers_started == 2
+    assert stats.heartbeats >= 1
+    prom = (run_dir / "metrics.prom").read_text()
+    assert f"repro_fabric_leases_total {float(stats.leases)}" in prom
+    assert "repro_fabric_workers_started_total 2.0" in prom
+    assert (f"repro_fabric_heartbeats_total {float(stats.heartbeats)}"
+            in prom)
+    assert "repro_fabric_worker_lifetime_seconds_count 2" in prom
 
 
 def test_on_point_fires_in_grid_order():

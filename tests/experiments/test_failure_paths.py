@@ -2,10 +2,10 @@
 
 Three bugfixes are locked in here:
 
-* a cell raising inside a ``ProcessPoolExecutor`` worker surfaces as an
+* a cell raising inside a fabric worker (``jobs > 1``) surfaces as an
   :class:`ExperimentError` carrying ``(scenario, x, seed)`` -- not a bare
-  exception with no context -- and the outstanding futures are cancelled
-  and drained before the re-raise;
+  exception with no context -- whose cause holds the worker's formatted
+  traceback (exception objects cannot cross the restricted unpickler);
 * ``append_bench_record`` writes atomically (tmp + ``os.replace``) so
   concurrent sweep invocations can never leave a half-written perf file,
   and an unparseable existing file is preserved (``.corrupt``) rather
@@ -17,6 +17,7 @@ Three bugfixes are locked in here:
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,7 @@ def _ok_build(x, seed):
 
 
 def _failing_build(x, seed):
-    # Module-level so it pickles into pool workers; poisons exactly one x.
+    # Module-level so it pickles into fabric workers; poisons exactly one x.
     if x == 1.0:
         raise ValueError("spec builder exploded")
     return _ok_build(x, seed)
@@ -71,8 +72,12 @@ def test_pool_worker_failure_carries_cell_context():
     assert "x=1.0" in message
     assert "seed=" in message
     assert "spec builder exploded" in message
-    # The original exception stays reachable for debugging.
-    assert isinstance(excinfo.value.__cause__, ValueError)
+    # The worker's traceback stays reachable for debugging: the type,
+    # the message, and the raising frame.
+    cause = str(excinfo.value.__cause__)
+    assert "ValueError" in cause
+    assert "spec builder exploded" in cause
+    assert "_failing_build" in cause
 
 
 def test_serial_failure_carries_cell_context():
@@ -81,6 +86,8 @@ def test_serial_failure_carries_cell_context():
     assert "poisoned-exec" in str(excinfo.value)
     assert "x=1.0" in str(excinfo.value)
     assert "seed=0" in str(excinfo.value)
+    # In-process, the original exception object itself is the cause.
+    assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 def test_pool_failure_does_not_poison_cache_with_partial_grid(tmp_path):
@@ -89,8 +96,12 @@ def test_pool_failure_does_not_poison_cache_with_partial_grid(tmp_path):
     # Whatever healthy cells landed in the cache before the failure are
     # legitimate: a fixed spec (different fingerprint) ignores them, and
     # re-running the broken spec fails again rather than trusting them.
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ExperimentError) as excinfo:
         execute_sweep(POISONED, seeds=1, jobs=2, cache_dir=tmp_path)
+    cause = str(excinfo.value.__cause__)
+    assert "ValueError" in cause
+    assert "spec builder exploded" in cause
+    assert "_failing_build" in cause
 
 
 # -- bench record atomicity ---------------------------------------------------
@@ -106,7 +117,7 @@ def test_bench_write_is_atomic_no_tmp_left_behind(tmp_path):
     append_bench_record(path, _timing())
     leftovers = [p for p in tmp_path.iterdir() if p.name != path.name]
     assert leftovers == []
-    assert json.loads(path.read_text())["version"] == 4
+    assert json.loads(path.read_text())["version"] == 5
 
 
 def test_corrupt_bench_file_preserved_not_clobbered(tmp_path):
@@ -119,30 +130,42 @@ def test_corrupt_bench_file_preserved_not_clobbered(tmp_path):
     assert json.loads(path.read_text()) == doc
 
 
-def test_bench_records_keyed_by_mode_too(tmp_path):
+def test_bench_reader_ignores_legacy_mode_later_record_wins(tmp_path):
     path = tmp_path / "BENCH_sweeps.json"
-    timing = _timing()
-    append_bench_record(path, timing)
-    import dataclasses
-
-    fabric_timing = dataclasses.replace(timing, mode="fabric")
-    doc = append_bench_record(path, fabric_timing)
-    assert len(doc["records"]) == 2  # same scenario+jobs, different mode
-    modes = [r["mode"] for r in doc["records"]]
-    assert modes == ["fabric", "pool"]
-
-
-def test_bench_reader_defaults_legacy_records_to_pool_mode(tmp_path):
-    path = tmp_path / "BENCH_sweeps.json"
-    legacy = {"version": 2, "tool": "sweep-bench",
-              "records": [{"scenario": "ok-exec", "jobs": 1,
-                           "wall_time_s": 1.0}]}
+    legacy = {"version": 4, "tool": "sweep-bench",
+              "records": [{"scenario": "fig7", "mode": "fabric", "jobs": 4,
+                           "wall_time_s": 1.0},
+                          {"scenario": "fig7", "mode": "pool", "jobs": 4,
+                           "wall_time_s": 2.0},
+                          {"scenario": "fig7", "mode": "pool", "jobs": 1,
+                           "wall_time_s": 3.0}]}
     path.write_text(json.dumps(legacy))
     doc = append_bench_record(path, _timing())
-    # The legacy record was re-keyed as pool-mode and overwritten by the
-    # fresh pool-mode record for the same (scenario, jobs).
-    assert len(doc["records"]) == 1
-    assert doc["records"][0]["mode"] == "pool"
+    assert doc["version"] == 5
+    assert all("mode" not in record for record in doc["records"])
+    keys = [(r["scenario"], r["jobs"]) for r in doc["records"]]
+    assert keys == [("fig7", 1), ("fig7", 4), ("ok-exec", 1)]
+    # (fig7, 4) collided: the later legacy record won.
+    assert doc["records"][1]["wall_time_s"] == 2.0
+
+
+def test_committed_bench_file_has_the_current_shape(tmp_path):
+    committed = Path(__file__).resolve().parents[2] / "BENCH_sweeps.json"
+    doc = json.loads(committed.read_text())
+    assert doc["version"] == 5
+    assert doc["tool"] == "sweep-bench"
+    keys = [(r["scenario"], r["jobs"]) for r in doc["records"]]
+    assert keys == sorted(set(keys))  # one record per key, sorted
+    for record in doc["records"]:
+        assert "mode" not in record
+        assert record["cells_total"] == (record["cells_computed"]
+                                         + record["cache_hits"])
+        assert record["wall_time_s"] > 0
+    # Folding a fresh record into it keeps every committed key.
+    path = tmp_path / "BENCH_sweeps.json"
+    path.write_text(committed.read_text())
+    folded = append_bench_record(path, _timing())
+    assert set(keys) < {(r["scenario"], r["jobs"]) for r in folded["records"]}
 
 
 def test_concurrent_bench_appends_never_corrupt_the_file(tmp_path):
@@ -165,7 +188,7 @@ def test_concurrent_bench_appends_never_corrupt_the_file(tmp_path):
     # file itself must always parse: every observable state is some
     # complete, valid document (tmp + os.replace).
     doc = json.loads(path.read_text())
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert len(doc["records"]) >= 1
     assert not list(tmp_path.glob("*.tmp*"))
 
