@@ -5,30 +5,17 @@ figures, (b) prints the regenerated series next to the paper's claim, and
 (c) asserts the claim's *shape* (who wins, by roughly what factor, where
 the crossovers fall).  Timings come from pytest-benchmark; since one
 sweep is already a replicated experiment, each bench runs a single round.
-
-Each sweep executed through :func:`run_figure` also records a
-:class:`~repro.experiments.executor.SweepTiming`; at session end they are
-folded into ``benchmarks/BENCH_sweeps.json`` (wall time, cells computed
-vs. cache hits, events/sec) -- the perf-trajectory artifact described in
-docs/PERFORMANCE.md.
+Repeatable end-to-end performance numbers come from ``perfbench/``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.experiments.executor import append_bench_record, execute_sweep
+from repro.experiments.executor import execute_sweep
 from repro.experiments.report import ascii_chart, format_table, shape_summary
 from repro.experiments.runner import SweepResult
 from repro.experiments.scenarios import get_scenario
-
-#: Timing records collected this session, written out at session finish.
-_SWEEP_TIMINGS: "list" = []
-
-#: Where the perf-trajectory records land.
-BENCH_SWEEPS_PATH = Path(__file__).parent / "BENCH_sweeps.json"
 
 
 @pytest.fixture
@@ -40,9 +27,8 @@ def run_figure(benchmark, capsys):
         spec = get_scenario(name)
 
         def once() -> SweepResult:
-            result, timing = execute_sweep(spec, seeds=seeds, jobs=jobs,
-                                           cache_dir=cache_dir)
-            _SWEEP_TIMINGS.append(timing)
+            result, _timing = execute_sweep(spec, seeds=seeds, jobs=jobs,
+                                            cache_dir=cache_dir)
             return result
 
         result = benchmark.pedantic(once, rounds=1, iterations=1)
@@ -61,12 +47,6 @@ def run_figure(benchmark, capsys):
         return result
 
     return runner
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Fold every sweep timing of this session into BENCH_sweeps.json."""
-    for timing in _SWEEP_TIMINGS:
-        append_bench_record(BENCH_SWEEPS_PATH, timing)
 
 
 def middle_band(result: SweepResult, lo: float = 0.25,

@@ -5,8 +5,7 @@ sweep: the serial reference path, ``jobs=4`` (four socket workers of
 the coordinator/worker fabric, :mod:`repro.experiments.fabric`), and a
 warm content-addressed cache.  On a multi-core runner the parallel
 bench should approach ``1/jobs`` of the serial wall time; the warm-cache
-bench must compute zero cells regardless of core count.  All three land
-in ``benchmarks/BENCH_sweeps.json`` via the conftest session hook.
+bench must compute zero cells regardless of core count.
 """
 
 import json

@@ -1,20 +1,19 @@
 """Command-line front end: ``python -m repro.analysis``.
 
-One umbrella over the four analyzer families, with a shared finding
-schema (:mod:`repro.analysis.schema`), shared suppression comments, and
-shared exit codes (0 clean, 1 findings, 2 usage error)::
+One analyzer and one runtime sanitizer behind a shared finding schema
+(:mod:`repro.analysis.schema`), shared suppression comments, and shared
+exit codes (0 clean, 1 findings, 2 usage error)::
 
-    python -m repro.analysis lint src/            # SL: per-file AST lint
-    python -m repro.analysis flow                 # SF: interprocedural flow
+    python -m repro.analysis lint PATHS           # SL: per-module stage
+    python -m repro.analysis flow                 # SF: interprocedural stage
     python -m repro.analysis flow --effects-report  # the purity contract
     python -m repro.analysis sanitize --seed 3    # SZ: runtime sanitizer
-    python -m repro.analysis trace lint t.jsonl   # TL: trace invariants
     python -m repro.analysis rules                # every code, all families
     python -m repro.analysis self-check           # the CI gate (SL+SZ+SF)
 
-The pre-umbrella spellings keep working: ``python -m repro.analysis
-src/`` lints paths, and ``--list-rules`` / ``--sanitize`` /
-``--self-check`` behave as before.
+``flow`` and ``self-check`` parse the package once and run both stages;
+``lint`` runs only the per-module stage, on any files.  Trace analytics
+and the TL invariants live in ``python -m repro.obs``.
 """
 
 from __future__ import annotations
@@ -24,49 +23,19 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.linter import (findings_to_dict, format_json, format_text,
-                                   lint_paths)
-from repro.analysis.rules import all_rules
-
-#: First-positional words routed to the subcommand interface; anything
-#: else falls through to the legacy parser (paths, flags).
-SUBCOMMANDS = ("lint", "flow", "sanitize", "trace", "rules", "self-check")
+from repro.analysis.schema import findings_payload, format_text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Determinism linter (simlint) and simulation sanitizer "
-                    "for the repro DES kernel.")
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories to lint")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="describe every lint rule and exit")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run the built-in demo scenario under the "
-                             "simulation sanitizer and print its report")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root seed for --sanitize (default: 0)")
-    parser.add_argument("--strict", action="store_true",
-                        help="with --sanitize: raise at the first "
-                             "error-severity finding")
-    parser.add_argument("--self-check", action="store_true",
-                        help="lint the installed repro package, sanitize "
-                             "the demo scenario, and run the flow analyzer; "
-                             "nonzero on any finding (the CI gate)")
-    return parser
-
-
-def build_subcommand_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Unified static/runtime analysis for the repro "
-                    "package (SL lint, SF flow, SZ sanitizer, TL trace).")
+        description="Static analysis (SL per-module and SF "
+                    "interprocedural rules) and the runtime sanitizer (SZ) "
+                    "for the repro package.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lint = sub.add_parser("lint", help="per-file AST lint (SL rules)")
+    lint = sub.add_parser("lint", help="per-module stage only (SL rules), "
+                                       "on any files or directories")
     lint.add_argument("paths", nargs="+")
     lint.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -95,39 +64,41 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--format", choices=("text", "json"),
                           default="text")
 
-    trace = sub.add_parser("trace",
-                           help="trace analytics and TL invariant lint "
-                                "(forwards to python -m repro.obs)")
-    trace.add_argument("args", nargs=argparse.REMAINDER)
-
     rules = sub.add_parser("rules",
                            help="list every diagnostic code of every "
                                 "family (SL, SF, SZ, TL)")
     rules.add_argument("--format", choices=("text", "json"), default="text")
 
-    check = sub.add_parser("self-check", help="the CI gate: lint + "
-                                              "sanitizer demo + flow")
+    check = sub.add_parser("self-check", help="the CI gate: both static "
+                                              "stages + sanitizer demo")
     check.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
-# -- helpers shared by legacy and subcommand paths ---------------------------
+def _lint_text(findings, files_scanned: int) -> str:
+    noun = "file" if files_scanned == 1 else "files"
+    return format_text("simlint", findings, f"in {files_scanned} {noun}")
 
 
-def _print_lint(findings, files_scanned, fmt: str) -> None:
-    if fmt == "json":
-        print(format_json(findings, files_scanned))
-    else:
-        print(format_text(findings, files_scanned))
+def _flow_text(findings, functions_analyzed: int) -> str:
+    return format_text("simflow", findings,
+                       f"across {functions_analyzed} functions")
 
 
 def _run_lint(paths, fmt: str) -> int:
+    from repro.analysis.flow import lint_paths
+
     try:
         findings, files_scanned = lint_paths(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}")
         return 2
-    _print_lint(findings, files_scanned, fmt)
+    if fmt == "json":
+        print(json.dumps(findings_payload("simlint", findings,
+                                          files_scanned=files_scanned),
+                         indent=2))
+    else:
+        print(_lint_text(findings, files_scanned))
     return 1 if findings else 0
 
 
@@ -178,24 +149,29 @@ def _run_flow(root: "str | None", package: "str | None", fmt: str,
         print(f"error: {exc}")
         return 2
 
+    # A module the interprocedural stage could not see is a finding too.
     if effects:
+        for finding in result.parse_errors:
+            print(finding.format(), file=sys.stderr)
         report = flowpkg.effects_report(result.analysis)
         print(flowpkg.format_effects_report(report), end="")
-        return 0
+        return 1 if result.parse_errors else 0
 
-    findings = result.findings
+    findings = result.parse_errors + result.findings
     if baseline_keys is not None:
         findings = flowpkg.apply_baseline(findings, baseline_keys)
     if fmt == "json":
-        print(flowpkg.format_flow_json(findings, result.functions_analyzed))
+        print(json.dumps(findings_payload(
+            "simflow", findings,
+            functions_analyzed=result.functions_analyzed), indent=2))
     else:
-        print(flowpkg.format_flow_text(findings, result.functions_analyzed))
+        print(_flow_text(findings, result.functions_analyzed))
     return 1 if findings else 0
 
 
-def _all_rule_catalogue() -> "list[tuple[str, str, str]]":
+def rule_catalogue() -> "list[tuple[str, str, str]]":
     """(code, name, summary) for every family, sorted by code."""
-    from repro.analysis.flow.rules import FLOW_RULES
+    from repro.analysis.flow import FLOW_RULES, all_rules
     from repro.analysis.sanitizer import SANITIZER_RULES
     from repro.obs.analyze import TRACE_RULES
 
@@ -210,7 +186,7 @@ def _all_rule_catalogue() -> "list[tuple[str, str, str]]":
 
 
 def _run_rules(fmt: str) -> int:
-    rows = _all_rule_catalogue()
+    rows = rule_catalogue()
     if fmt == "json":
         print(json.dumps([{"code": c, "name": n, "summary": s}
                           for c, n, s in rows], indent=2))
@@ -221,44 +197,37 @@ def _run_rules(fmt: str) -> int:
 
 
 def _self_check(fmt: str) -> int:
-    from repro.analysis import flow as flowpkg
     from repro.analysis.demo import run_demo
+    from repro.analysis.flow import analyze_package
 
-    package_dir = _package_dir()
-    findings, files_scanned = lint_paths([package_dir])
-    # Report paths relative to the package root so output is stable
-    # across checkouts.
-    rel = [f.__class__(code=f.code, message=f.message,
-                       path=str(Path(f.path).relative_to(package_dir.parent)),
-                       line=f.line, column=f.column) for f in findings]
-
+    result = analyze_package(_package_dir(), package="repro")
     outcome = run_demo(0)
     report = outcome.report
-    flow_result = flowpkg.analyze_package(package_dir, package="repro")
-    failed = bool(rel or report.error_count or flow_result.findings)
+    failed = bool(result.lint_findings or report.error_count
+                  or result.findings)
 
     if fmt == "json":
-        payload = findings_to_dict(rel, files_scanned)
+        payload = findings_payload("simlint", result.lint_findings,
+                                   files_scanned=result.files_scanned)
         payload["sanitizer"] = report.to_dict()
-        payload["flow"] = flowpkg.flow_payload(
-            flow_result.findings, flow_result.functions_analyzed)
+        payload["flow"] = findings_payload(
+            "simflow", result.findings,
+            functions_analyzed=result.functions_analyzed)
         print(json.dumps(payload, indent=2))
     else:
-        _print_lint(rel, files_scanned, fmt)
+        print(_lint_text(result.lint_findings, result.files_scanned))
         print(f"sanitizer demo: {report.error_count} errors, "
               f"{report.warning_count} warnings over "
               f"{report.events_processed} events")
-        print(flowpkg.format_flow_text(flow_result.findings,
-                                       flow_result.functions_analyzed))
+        print(_flow_text(result.findings, result.functions_analyzed))
     return 1 if failed else 0
 
 
-# -- entry points -------------------------------------------------------------
-
-
-def _main_subcommand(argv: "list[str]") -> int:
-    parser = build_subcommand_parser()
-    args = parser.parse_args(argv)
+def main(argv: "list[str] | None" = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors: exit code 2, like the rest
+        return exc.code if isinstance(exc.code, int) else 2
     if args.command == "lint":
         return _run_lint(args.paths, args.format)
     if args.command == "flow":
@@ -266,38 +235,7 @@ def _main_subcommand(argv: "list[str]") -> int:
                          args.baseline, args.effects_report)
     if args.command == "sanitize":
         return _run_sanitize(args.seed, args.strict, args.format)
-    if args.command == "trace":
-        from repro.obs.__main__ import main as obs_main
-
-        return obs_main(args.args)
     if args.command == "rules":
         return _run_rules(args.format)
     assert args.command == "self-check"
     return _self_check(args.format)
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in SUBCOMMANDS:
-        return _main_subcommand(argv)
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.code} {rule.name}: {rule.summary}")
-        return 0
-
-    if args.self_check:
-        return _self_check(args.format)
-
-    if args.sanitize:
-        return _run_sanitize(args.seed, args.strict, args.format)
-
-    if not args.paths:
-        parser.print_usage()
-        return 2
-
-    return _run_lint(args.paths, args.format)

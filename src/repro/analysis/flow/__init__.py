@@ -1,104 +1,126 @@
-"""``simflow``: interprocedural effect, determinism, and units analysis.
+"""The static analyzer: one parse per module, then two stages.
 
-Where :mod:`repro.analysis.rules` judges one AST node at a time, this
-package parses the *whole* ``repro`` tree, builds a call graph
-(:mod:`~repro.analysis.flow.graph`), infers per-function effect
-signatures by fixed point (:mod:`~repro.analysis.flow.effects`), and
-evaluates the interprocedural SF rules
-(:mod:`~repro.analysis.flow.rules`) against the repo's contracts
-(:mod:`~repro.analysis.flow.contracts`).
+Every run walks its files once and parses each module once
+(:mod:`~repro.analysis.flow.source`); a module that does not parse is
+an ``SL000`` finding.  The parsed modules then go through
 
-Entry point::
+1. the **per-module stage** -- the ``SL`` rules
+   (:mod:`~repro.analysis.flow.lint`), one AST walk per module;
+2. the **interprocedural stage** -- a call graph
+   (:mod:`~repro.analysis.flow.graph`), per-function effect signatures
+   inferred by fixed point (:mod:`~repro.analysis.flow.effects`), and the
+   ``SF`` rules (:mod:`~repro.analysis.flow.rules`) evaluated against
+   the repo's contracts (:mod:`~repro.analysis.flow.contracts`).
 
-    from repro.analysis.flow import analyze_package
-    result = analyze_package("src/repro")
-    result.findings              # unsuppressed FlowFindings
+Both stages share the import resolver, the suppression comments, and
+the :class:`~repro.analysis.schema.Finding` type.  Entry points::
+
+    from repro.analysis.flow import analyze_package, lint_paths
+    result = analyze_package("src/repro")   # both stages
+    result.lint_findings                    # unsuppressed SL findings
+    result.findings                         # unsuppressed SF findings
     result.analysis.signature("repro.simkernel.engine.Simulator.step")
+    lint_paths(["examples/"])               # per-module stage only
 
-CLI: ``python -m repro.analysis flow`` (see :mod:`repro.analysis.cli`).
+CLI: ``python -m repro.analysis`` (see :mod:`repro.analysis.cli`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from repro.analysis.flow.contracts import FlowContracts, default_contracts
 from repro.analysis.flow.effects import EffectAnalysis, analyze_effects
 from repro.analysis.flow.graph import PackageIndex
+from repro.analysis.flow.lint import Rule, all_rules, lint_module
 from repro.analysis.flow.report import (apply_baseline, effects_report,
-                                        flow_payload, format_effects_report,
-                                        format_flow_json, format_flow_text,
-                                        format_rules, load_baseline)
-from repro.analysis.flow.rules import (FLOW_RULES, FlowFinding,
-                                       run_flow_rules)
+                                        format_effects_report, load_baseline)
+from repro.analysis.flow.rules import FLOW_RULES, run_flow_rules
+from repro.analysis.flow.source import (ModuleInfo, filter_suppressed,
+                                        iter_python_files, load_module,
+                                        module_name, relativize)
+from repro.analysis.schema import Finding
 
 __all__ = [
     "FlowContracts", "default_contracts", "EffectAnalysis", "PackageIndex",
-    "FlowFinding", "FLOW_RULES", "FlowResult", "analyze_package",
-    "effects_report", "flow_payload", "format_effects_report",
-    "format_flow_json",
-    "format_flow_text", "format_rules", "apply_baseline", "load_baseline",
+    "FLOW_RULES", "FlowResult", "Rule", "all_rules", "analyze_package",
+    "lint_paths", "lint_source", "effects_report", "format_effects_report",
+    "apply_baseline", "load_baseline",
 ]
 
 
 @dataclass
 class FlowResult:
-    """Everything one flow run produced."""
+    """Everything one run of both stages produced."""
 
     index: PackageIndex
     analysis: EffectAnalysis
-    #: findings surviving suppression comments, sorted.
-    findings: "list[FlowFinding]" = field(default_factory=list)
+    #: SL findings (``SL000`` for unparseable modules included) surviving
+    #: suppression comments, sorted.
+    lint_findings: "list[Finding]" = field(default_factory=list)
+    #: SF findings surviving suppression comments, sorted.
+    findings: "list[Finding]" = field(default_factory=list)
     suppressed_count: int = 0
+    files_scanned: int = 0
 
     @property
     def functions_analyzed(self) -> int:
         return len(self.index.functions)
 
+    @property
+    def parse_errors(self) -> "list[Finding]":
+        return [f for f in self.lint_findings if f.code == "SL000"]
 
-def _relativize(findings: "list[FlowFinding]", root: Path,
-                ) -> "list[FlowFinding]":
-    """Report paths relative to the tree that contains the package, so
-    output is stable across checkouts (mirrors ``--self-check``)."""
-    base = root.resolve().parent
-    out: "list[FlowFinding]" = []
-    for f in findings:
-        try:
-            rel = str(Path(f.path).resolve().relative_to(base))
-        except ValueError:
-            rel = f.path
-        out.append(FlowFinding(code=f.code, message=f.message,
-                               path=rel.replace("\\", "/"), line=f.line,
-                               column=f.column, function=f.function))
-    return out
+
+def _lint(loaded: "Iterable[ModuleInfo | Finding]") -> "list[Finding]":
+    """The per-module stage over loaded modules: SL findings plus the
+    parse errors, suppressions applied, sorted."""
+    modules: "dict[str, ModuleInfo]" = {}
+    findings: "list[Finding]" = []
+    for item in loaded:
+        if isinstance(item, ModuleInfo):
+            modules[item.path] = item
+            findings.extend(lint_module(item))
+        else:
+            findings.append(item)
+    kept, _suppressed = filter_suppressed(findings, modules)
+    kept.sort(key=lambda f: (f.path, f.line, f.column, f.code))
+    return kept
+
+
+def lint_source(source: str, path: str = "<string>") -> "list[Finding]":
+    """Lint one module's source text; returns unsuppressed findings."""
+    return _lint([load_module(path, Path(path).stem, source)])
+
+
+def lint_paths(paths: "Iterable[str | Path]") -> "tuple[list[Finding], int]":
+    """Lint files/directory trees; returns (findings, files_scanned)."""
+    files = iter_python_files(paths)
+    return _lint([load_module(f, module_name(f)) for f in files]), len(files)
 
 
 def analyze_package(root: "str | Path", package: "str | None" = None,
-                    contracts: "FlowContracts | None" = None,
-                    relative_paths: bool = True) -> FlowResult:
-    """Run the full pipeline on a package directory."""
-    from repro.analysis.linter import SuppressionIndex
+                    contracts: "FlowContracts | None" = None) -> FlowResult:
+    """Run both stages on a package directory (``package`` defaults to
+    the directory name).  Finding paths are relative to the directory
+    containing the package, so output is stable across checkouts."""
+    root = Path(root).resolve()
+    if not root.is_dir():
+        raise FileNotFoundError(f"package directory not found: {root}")
+    package = package or root.name
+    files = iter_python_files([root])
+    loaded = [load_module(f, module_name(f, root, package)) for f in files]
+    modules = [m for m in loaded if isinstance(m, ModuleInfo)]
 
-    root = Path(root)
-    index = PackageIndex.build(root, package)
+    lint_findings = _lint(loaded)
+    index = PackageIndex.build(package, modules)
     analysis = analyze_effects(index, contracts or default_contracts())
-    findings = run_flow_rules(analysis)
-
-    # The same suppression comments simlint honours silence SF findings.
-    suppressions: "dict[str, SuppressionIndex]" = {}
-    for mod in index.modules.values():
-        suppressions[mod.path] = SuppressionIndex(mod.source, mod.tree)
-    kept: "list[FlowFinding]" = []
-    suppressed = 0
-    for finding in findings:
-        sup = suppressions.get(finding.path)
-        if sup is not None and sup.suppressed(finding.code, finding.line):
-            suppressed += 1
-        else:
-            kept.append(finding)
-
-    if relative_paths:
-        kept = _relativize(kept, root)
-    return FlowResult(index=index, analysis=analysis, findings=kept,
-                      suppressed_count=suppressed)
+    findings, suppressed = filter_suppressed(
+        run_flow_rules(analysis), {m.path: m for m in modules})
+    return FlowResult(index=index, analysis=analysis,
+                      lint_findings=relativize(lint_findings, root.parent),
+                      findings=relativize(findings, root.parent),
+                      suppressed_count=suppressed,
+                      files_scanned=len(files))

@@ -83,9 +83,11 @@ _PATH_IO_METHODS = frozenset({
     "symlink_to", "samefile",
 })
 
-_RNG_PREFIXES = ("random.", "secrets.", "numpy.random.")
+#: Module prefixes whose every callable draws unregistered entropy (also
+#: rule SL001's table).
+RNG_PREFIXES = ("random.", "secrets.", "numpy.random.")
 #: numpy.random constructors that are deterministic *when seeded*.
-_SEEDED_OK = frozenset({
+SEEDED_OK = frozenset({
     "numpy.random.default_rng", "numpy.random.SeedSequence",
     "numpy.random.Generator", "numpy.random.PCG64", "numpy.random.Philox",
     "numpy.random.SFC64",
@@ -113,11 +115,11 @@ def external_call_effect(name: str) -> "str | None":
         return PERFORMS_IO
     if name.startswith(_IO_EXEMPT_PREFIXES):
         return None
-    if name in _SEEDED_OK:
+    if name in SEEDED_OK:
         return None  # argument presence is checked at the call site
     if name.startswith(_IO_PREFIXES):
         return PERFORMS_IO
-    if name.startswith(_RNG_PREFIXES):
+    if name.startswith(RNG_PREFIXES):
         return CONSUMES_RNG
     if name.startswith("<unknown>."):
         attr = name.split(".", 1)[1]
@@ -294,7 +296,7 @@ class _DirectEffectVisitor:
                 and not resolved.startswith(self.index.package + ".")
             ) else (dotted if resolved is None else None)
             if external is not None:
-                if (external in _SEEDED_OK
+                if (external in SEEDED_OK
                         and not node.args and not node.keywords):
                     self._site(CONSUMES_RNG, node,
                                f"{external}() seeded from OS entropy",

@@ -1,14 +1,16 @@
 """Whole-package module/call graph for the flow analyzer.
 
-:class:`PackageIndex` parses every module of a package once and builds
-the symbol tables the interprocedural pass needs:
+:class:`PackageIndex` takes the modules the pipeline parsed once
+(:mod:`repro.analysis.flow.source`) and builds the symbol tables the
+interprocedural pass needs:
 
 * functions and methods by qualified name (``pkg.mod.Class.meth``);
 * classes with resolved base classes and attribute types (gathered
   from class-body annotations and ``self.x = <typed>`` assignments in
   ``__init__``);
-* per-module import maps, mirroring
-  :class:`repro.analysis.rules.LintContext`;
+* per-module import maps (built once per module by
+  :class:`~repro.analysis.flow.source.ModuleInfo`, which the SL lint
+  stage resolves names through as well);
 * module-level *mutable globals* and, among them, the ones some
   function actually mutates -- the "shared state" the effect pass and
   rule SF001 care about.
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Iterable
+
+from repro.analysis.flow.source import ModuleInfo, _dotted_name
 
 #: Attribute-call names never linked by the untyped-receiver fallback:
 #: they are overwhelmingly builtin-container operations.
@@ -43,16 +47,17 @@ GENERIC_METHODS = frozenset({
 #: this is too generic to carry signal.
 _FALLBACK_CAP = 16
 
-#: Calls producing mutable containers (module-level globals bound to one
-#: of these are mutable-global candidates).
-_MUTABLE_FACTORIES = frozenset({
+#: Calls producing mutable containers: module-level globals bound to one
+#: of these are mutable-global candidates, and rule SL006 flags them as
+#: defaults and class attributes.
+MUTABLE_FACTORIES = frozenset({
     "list", "dict", "set", "bytearray", "collections.deque",
     "collections.defaultdict", "collections.OrderedDict",
     "collections.Counter",
 })
 
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                     ast.DictComp, ast.SetComp)
+MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                    ast.DictComp, ast.SetComp)
 
 
 @dataclass
@@ -81,22 +86,6 @@ class ClassInfo:
     attr_types: "dict[str, str]" = field(default_factory=dict)
 
 
-@dataclass
-class ModuleInfo:
-    name: str
-    path: str
-    source: str
-    tree: ast.Module
-    #: alias -> module dotted name (``import numpy as np``).
-    imports_mod: "dict[str, str]" = field(default_factory=dict)
-    #: local name -> full dotted origin (``from x import y [as z]``).
-    imports_from: "dict[str, str]" = field(default_factory=dict)
-    #: module-level names bound to a mutable container.
-    mutable_globals: "set[str]" = field(default_factory=set)
-    #: module-level name -> class qualname (``X = ClassName()``).
-    global_types: "dict[str, str]" = field(default_factory=dict)
-
-
 class PackageIndex:
     """Symbol tables and call graph for one parsed package tree."""
 
@@ -113,42 +102,19 @@ class PackageIndex:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, root: "str | Path", package: "str | None" = None,
-              ) -> "PackageIndex":
-        """Parse every ``.py`` file under ``root`` (a package directory).
-
-        ``package`` defaults to the directory's name.
-        """
-        root = Path(root).resolve()
-        if not root.is_dir():
-            raise FileNotFoundError(f"package directory not found: {root}")
-        package = package or root.name
+    def build(cls, package: str,
+              modules: "Iterable[ModuleInfo]") -> "PackageIndex":
+        """Index the parsed modules of ``package``."""
         index = cls(package)
-        for path in sorted(root.rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            rel = path.relative_to(root)
-            parts = [package] + list(rel.with_suffix("").parts)
-            if parts[-1] == "__init__":
-                parts = parts[:-1]
-            module_name = ".".join(parts)
-            source = path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # the per-file linter reports SL000 for these
-            index._add_module(module_name, str(path), source, tree)
-        for mod in sorted(index.modules):
-            index._resolve_calls(index.modules[mod])
+        for mod in modules:
+            index._add_module(mod)
+        for name in sorted(index.modules):
+            index._resolve_calls(index.modules[name])
         return index
 
-    def _add_module(self, name: str, path: str, source: str,
-                    tree: ast.Module) -> None:
-        mod = ModuleInfo(name=name, path=path.replace("\\", "/"),
-                         source=source, tree=tree)
-        self.modules[name] = mod
-        self._collect_imports(mod)
-        for node in tree.body:
+    def _add_module(self, mod: ModuleInfo) -> None:
+        self.modules[mod.name] = mod
+        for node in mod.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(mod, node, cls=None)
             elif isinstance(node, ast.ClassDef):
@@ -156,30 +122,7 @@ class PackageIndex:
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 self._classify_global(mod, node)
 
-    def _collect_imports(self, mod: ModuleInfo) -> None:
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    key = alias.asname or alias.name.split(".")[0]
-                    mod.imports_mod[key] = (alias.name if alias.asname
-                                            else alias.name.split(".")[0])
-                    if alias.asname:
-                        mod.imports_mod[alias.asname] = alias.name
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:  # relative import -> anchor in the package
-                    parts = mod.name.split(".")
-                    anchor = parts[:len(parts) - node.level]
-                    base = ".".join(anchor + ([node.module]
-                                              if node.module else []))
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    target = f"{base}.{alias.name}" if base else alias.name
-                    mod.imports_from[alias.asname or alias.name] = target
-
     def _add_function(self, mod: ModuleInfo, node, cls: "str | None") -> None:
-        name = node.name if cls is None else f"{cls.split('.')[-1]}.{node.name}"
         qualname = (f"{mod.name}.{node.name}" if cls is None
                     else f"{cls}.{node.name}")
         info = FunctionInfo(qualname=qualname, module=mod.name, path=mod.path,
@@ -187,7 +130,6 @@ class PackageIndex:
         self.functions[qualname] = info
         if cls is not None:
             self.methods_by_name.setdefault(node.name, []).append(qualname)
-        del name
 
     def _add_class(self, mod: ModuleInfo, node: ast.ClassDef) -> None:
         qualname = f"{mod.name}.{node.name}"
@@ -219,11 +161,11 @@ class PackageIndex:
         names = [t.id for t in targets if isinstance(t, ast.Name)]
         if not names:
             return
-        if isinstance(value, _MUTABLE_LITERALS):
+        if isinstance(value, MUTABLE_LITERALS):
             mod.mutable_globals.update(names)
         elif isinstance(value, ast.Call):
             dotted = _dotted_name(value.func)
-            if dotted in _MUTABLE_FACTORIES:
+            if mod.qualified_name(value.func) in MUTABLE_FACTORIES:
                 mod.mutable_globals.update(names)
             elif dotted is not None:
                 cls_qual = self.resolve_class(mod, dotted)
@@ -236,24 +178,20 @@ class PackageIndex:
     def resolve_name(self, mod: ModuleInfo, dotted: str) -> "str | None":
         """Resolve a dotted name as seen from ``mod`` to a full origin.
 
-        ``obs.emit`` with ``from repro import obs`` resolves to
-        ``repro.obs.emit``.  Returns None for unresolvable heads.
+        Imports first (:meth:`ModuleInfo.resolve`: ``obs.emit`` with
+        ``from repro import obs`` is ``repro.obs.emit``), then the
+        module's own functions, classes and typed/mutable globals.
+        Returns None for unresolvable heads.
         """
+        resolved = mod.resolve(dotted)
+        if resolved is not None:
+            return resolved
         head, _, rest = dotted.partition(".")
-        origin = None
-        if head in mod.imports_from:
-            origin = mod.imports_from[head]
-        elif head in mod.imports_mod:
-            origin = mod.imports_mod[head]
-        elif f"{mod.name}.{head}" in self.functions:
-            origin = f"{mod.name}.{head}"
-        elif f"{mod.name}.{head}" in self.classes:
-            origin = f"{mod.name}.{head}"
-        elif head in mod.global_types or head in mod.mutable_globals:
-            origin = f"{mod.name}.{head}"
-        if origin is None:
-            return None
-        return f"{origin}.{rest}" if rest else origin
+        local = f"{mod.name}.{head}"
+        if (local in self.functions or local in self.classes
+                or head in mod.global_types or head in mod.mutable_globals):
+            return f"{local}.{rest}" if rest else local
+        return None
 
     def resolve_class(self, mod: ModuleInfo, name: str) -> "str | None":
         """Resolve an annotation/constructor name to an in-package class."""
@@ -429,18 +367,6 @@ class PackageIndex:
         if dotted is not None:
             return [(dotted, False)]
         return [("<dynamic>", False)]
-
-
-def _dotted_name(node: ast.AST) -> "str | None":
-    """``a.b.c`` as a string, or None for non-name expressions."""
-    parts: "list[str]" = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def annotation_class_name(node: ast.AST) -> "str | None":

@@ -1,4 +1,4 @@
-"""Flow-analysis output shaping: findings, baselines, the effects report.
+"""Flow-analysis outputs beyond findings: baselines and the effects report.
 
 The **effects report** is the purity contract other PRs consume (see
 ROADMAP items 1 and 2): a byte-stable JSON table of the inferred effect
@@ -20,41 +20,10 @@ import json
 from pathlib import Path
 from typing import Sequence
 
+from repro.analysis.flow import dims as dims_mod
 from repro.analysis.flow import effects as fx
 from repro.analysis.flow.effects import EffectAnalysis
-from repro.analysis.flow.rules import FLOW_RULES, FlowFinding
-from repro.analysis.schema import findings_payload
-from repro.analysis.flow import dims as dims_mod
-
-
-# -- findings payloads ---------------------------------------------------------
-
-def flow_payload(findings: "Sequence[FlowFinding]",
-                 functions_analyzed: int) -> dict:
-    return findings_payload("simflow", findings,
-                            functions_analyzed=functions_analyzed)
-
-
-def format_flow_json(findings: "Sequence[FlowFinding]",
-                     functions_analyzed: int) -> str:
-    return json.dumps(flow_payload(findings, functions_analyzed), indent=2)
-
-
-def format_flow_text(findings: "Sequence[FlowFinding]",
-                     functions_analyzed: int) -> str:
-    lines = [f.format() for f in findings]
-    lines.append(f"simflow: {len(findings)} finding"
-                 f"{'' if len(findings) == 1 else 's'} across "
-                 f"{functions_analyzed} functions")
-    return "\n".join(lines)
-
-
-def format_rules() -> str:
-    lines = []
-    for code in sorted(FLOW_RULES):
-        name, summary = FLOW_RULES[code]
-        lines.append(f"{code} {name}: {summary}")
-    return "\n".join(lines)
+from repro.analysis.schema import Finding
 
 
 # -- baselines -------------------------------------------------------------------
@@ -69,11 +38,11 @@ def load_baseline(path: "str | Path") -> "set[tuple[str, str, str]]":
     return keys
 
 
-def apply_baseline(findings: "Sequence[FlowFinding]",
+def apply_baseline(findings: "Sequence[Finding]",
                    baseline: "set[tuple[str, str, str]]",
-                   ) -> "list[FlowFinding]":
+                   ) -> "list[Finding]":
     return [f for f in findings
-            if (f.code, f.path, f.function) not in baseline]
+            if (f.code, f.path, f.function or "") not in baseline]
 
 
 # -- the effects report ------------------------------------------------------------

@@ -15,19 +15,19 @@ single AST node looks like.
 ``SF006``     optional hook/session use unguarded by a None check
 ============  =============================================================
 
-Findings respect the same suppression comments as simlint
-(``# simflow: disable=SF001`` -- see :mod:`repro.analysis.linter`).
+Findings respect the same suppression comments as the SL rules
+(``# simflow: disable=SF001`` -- see :mod:`repro.analysis.flow.source`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
 from repro.analysis.flow import effects as fx
 from repro.analysis.flow.dimflow import check_function_dims
 from repro.analysis.flow.effects import EffectAnalysis
 from repro.analysis.flow.graph import FunctionInfo, _dotted_name
+from repro.analysis.schema import Finding
 
 #: code -> (name, summary) catalogue for the ``rules`` subcommand.
 FLOW_RULES = {
@@ -54,30 +54,8 @@ FLOW_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class FlowFinding:
-    """One interprocedural diagnostic (adds ``function`` to the shared
-    finding shape)."""
-
-    code: str
-    message: str
-    path: str
-    line: int
-    column: int
-    function: str
-
-    def format(self) -> str:
-        return (f"{self.path}:{self.line}:{self.column}: {self.code} "
-                f"{self.message} [in {self.function}]")
-
-    def to_dict(self) -> dict:
-        return {"code": self.code, "message": self.message, "path": self.path,
-                "line": self.line, "column": self.column,
-                "function": self.function}
-
-
-def run_flow_rules(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    findings: "list[FlowFinding]" = []
+def run_flow_rules(analysis: EffectAnalysis) -> "list[Finding]":
+    findings: "list[Finding]" = []
     findings.extend(_sf001(analysis))
     findings.extend(_sf002(analysis))
     findings.extend(_sf003(analysis))
@@ -89,15 +67,15 @@ def run_flow_rules(analysis: EffectAnalysis) -> "list[FlowFinding]":
 
 
 def _finding(code: str, info: FunctionInfo, line: int, column: int,
-             message: str) -> FlowFinding:
-    return FlowFinding(code=code, message=message, path=info.path,
-                       line=line, column=column, function=info.qualname)
+             message: str) -> Finding:
+    return Finding(code=code, message=message, path=info.path,
+                   line=line, column=column, function=info.qualname)
 
 
 # -- SF001 -------------------------------------------------------------------
 
-def _sf001(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    out: "list[FlowFinding]" = []
+def _sf001(analysis: EffectAnalysis) -> "list[Finding]":
+    out: "list[Finding]" = []
     parents = analysis.reachable_from(analysis.contracts.parallel_roots)
     for qualname in sorted(parents):
         info = analysis.index.functions[qualname]
@@ -115,8 +93,8 @@ def _sf001(analysis: EffectAnalysis) -> "list[FlowFinding]":
 
 # -- SF002 -------------------------------------------------------------------
 
-def _sf002(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    out: "list[FlowFinding]" = []
+def _sf002(analysis: EffectAnalysis) -> "list[Finding]":
+    out: "list[Finding]" = []
     for qualname in sorted(analysis.index.functions):
         info = analysis.index.functions[qualname]
         for site in analysis.direct.get(qualname, ()):
@@ -167,11 +145,11 @@ def _iteration_sites(info: FunctionInfo) -> "list[tuple[ast.AST, str]]":
     return sites
 
 
-def _sf003(analysis: EffectAnalysis) -> "list[FlowFinding]":
+def _sf003(analysis: EffectAnalysis) -> "list[Finding]":
     contracts = analysis.contracts
     sink_reachers = analysis.reaches_sinks(contracts.trace_sinks
                                            + contracts.schedule_sinks)
-    out: "list[FlowFinding]" = []
+    out: "list[Finding]" = []
     for qualname in sorted(sink_reachers):
         info = analysis.index.functions.get(qualname)
         if info is None:
@@ -189,8 +167,8 @@ def _sf003(analysis: EffectAnalysis) -> "list[FlowFinding]":
 
 # -- SF004 -------------------------------------------------------------------
 
-def _sf004(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    out: "list[FlowFinding]" = []
+def _sf004(analysis: EffectAnalysis) -> "list[Finding]":
+    out: "list[Finding]" = []
     for qualname in sorted(analysis.index.functions):
         if not analysis.contracts.is_assumed_pure(qualname):
             continue
@@ -229,8 +207,8 @@ def _nearest_effect_origin(analysis: EffectAnalysis,
 
 # -- SF005 -------------------------------------------------------------------
 
-def _sf005(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    out: "list[FlowFinding]" = []
+def _sf005(analysis: EffectAnalysis) -> "list[Finding]":
+    out: "list[Finding]" = []
     for qualname in sorted(analysis.index.functions):
         info = analysis.index.functions[qualname]
         for line, column, message in check_function_dims(
@@ -260,9 +238,9 @@ def _guard_chains(info: FunctionInfo) -> "dict[str, int]":
     return guards
 
 
-def _sf006(analysis: EffectAnalysis) -> "list[FlowFinding]":
+def _sf006(analysis: EffectAnalysis) -> "list[Finding]":
     contracts = analysis.contracts
-    out: "list[FlowFinding]" = []
+    out: "list[Finding]" = []
     for qualname in sorted(analysis.index.functions):
         info = analysis.index.functions[qualname]
         mod = analysis.index.modules[info.module]

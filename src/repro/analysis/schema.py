@@ -1,12 +1,12 @@
 """The shared finding schema of every ``repro.analysis`` family.
 
-All four analyzer families -- the per-file AST linter (``SL``), the
+All four analyzer families -- the per-module lint stage (``SL``), the
 runtime sanitizer (``SZ``), the trace invariant linter (``TL``), and the
-interprocedural flow analyzer (``SF``) -- report through one JSON shape
-so CI gates and baselines can treat them interchangeably:
+interprocedural flow stage (``SF``) -- report through one JSON shape so
+CI gates and baselines can treat them interchangeably:
 
 * a *finding* is ``{"code", "message", "path", "line", "column"}`` plus
-  optional family extras (flow findings add ``"function"``);
+  ``"function"`` when the finding belongs to one (every SF finding);
 * a *payload* is ``{"version", "tool", ..., "finding_count",
   "counts_by_code", "findings"}``.
 
@@ -17,11 +17,37 @@ error.
 
 from __future__ import annotations
 
-import json
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 #: Schema version of the payload produced by :func:`findings_payload`.
 SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One static-analysis diagnostic, pinned to a source location."""
+
+    code: str
+    message: str
+    path: str
+    line: int
+    column: int
+    #: Qualified name of the enclosing function (interprocedural SF
+    #: findings); None for per-module findings.
+    function: "str | None" = None
+
+    def format(self) -> str:
+        where = f" [in {self.function}]" if self.function else ""
+        return (f"{self.path}:{self.line}:{self.column}: {self.code} "
+                f"{self.message}{where}")
+
+    def to_dict(self) -> dict:
+        out = {"code": self.code, "message": self.message, "path": self.path,
+               "line": self.line, "column": self.column}
+        if self.function is not None:
+            out["function"] = self.function
+        return out
 
 
 def findings_payload(tool: str, findings: Sequence[Any],
@@ -29,9 +55,8 @@ def findings_payload(tool: str, findings: Sequence[Any],
     """The stable JSON payload of one analyzer run.
 
     ``findings`` is a sequence of objects with ``code`` attributes and a
-    ``to_dict()`` method (the :class:`~repro.analysis.rules.Finding` /
-    :class:`~repro.analysis.flow.FlowFinding` duck type).  ``extra``
-    keys (e.g. ``files_scanned``) are inserted after ``tool``.
+    ``to_dict()`` method.  ``extra`` keys (e.g. ``files_scanned``) are
+    inserted after ``tool``.
     """
     counts: "dict[str, int]" = {}
     for finding in findings:
@@ -44,5 +69,9 @@ def findings_payload(tool: str, findings: Sequence[Any],
     return payload
 
 
-def format_payload(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+def format_text(tool: str, findings: "Sequence[Finding]", scope: str) -> str:
+    """One line per finding, then ``tool: N findings <scope>``."""
+    lines = [f.format() for f in findings]
+    lines.append(f"{tool}: {len(findings)} finding"
+                 f"{'' if len(findings) == 1 else 's'} {scope}")
+    return "\n".join(lines)

@@ -15,7 +15,6 @@
 from repro.experiments.executor import (
     CellCache,
     SweepTiming,
-    append_bench_record,
     execute_sweep,
 )
 from repro.experiments.fabric import (
@@ -41,7 +40,6 @@ __all__ = [
     "SweepResult",
     "SweepTiming",
     "WorkerChaos",
-    "append_bench_record",
     "ascii_chart",
     "execute_sweep",
     "execute_sweep_fabric",

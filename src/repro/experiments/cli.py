@@ -15,8 +15,9 @@ Examples
 fabric (see docs/FABRIC.md), byte-identical to the serial run.  Sweep
 cells are cached under ``--cache-dir`` (content-addressed; see
 docs/PERFORMANCE.md), so an interrupted or repeated run only computes
-missing cells; ``--no-cache`` forces a full recompute.  Each run folds a
-machine-readable timing record into ``BENCH_sweeps.json``.
+missing cells; ``--no-cache`` forces a full recompute.  Each run ends
+with a one-line timing summary; repeatable performance numbers come from
+``python3 perfbench/run.py`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.experiments.executor import append_bench_record, execute_sweep
+from repro.experiments.executor import execute_sweep
 from repro.experiments.report import ascii_chart, format_table, shape_summary
 from repro.experiments.scenarios import ALL_SCENARIOS, get_scenario
 
@@ -77,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every cell; do not read or write "
                              "the cell cache")
-    parser.add_argument("--bench-json", metavar="PATH",
-                        default="BENCH_sweeps.json",
-                        help="perf-record file updated after each sweep "
-                             "(default: BENCH_sweeps.json; for 'all' it is "
-                             "written inside --outdir)")
-    parser.add_argument("--no-bench", action="store_true",
-                        help="do not write the perf record")
     parser.add_argument("--runtime-telemetry", metavar="DIR", default=None,
                         help="write the wall-clock runtime telemetry plane "
                              "into DIR: span files, Chrome fleet timeline, "
@@ -166,9 +160,6 @@ def main(argv: "list[str] | None" = None) -> int:
         write_svg(result, args.svg)
         print(f"wrote {args.svg}")
     _write_obs(args, session)
-    if not args.no_bench:
-        append_bench_record(args.bench_json, timing)
-        print(f"\nwrote perf record to {args.bench_json}")
     if fabric_stats is not None:
         print(f"\n[fabric: {fabric_stats.workers} {fabric_stats.transport} "
               f"worker(s), {fabric_stats.leases} leases, "
@@ -266,7 +257,6 @@ def regenerate_all(args) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    bench_path = outdir / "BENCH_sweeps.json"
     session = _make_session(args)
     runtime_base = args.runtime_telemetry
     for name, spec in sorted(ALL_SCENARIOS.items()):
@@ -282,15 +272,11 @@ def regenerate_all(args) -> int:
             write_svg(result, outdir / f"{name}.svg")
         result.to_csv(outdir / f"{name}.csv")
         result.to_json(outdir / f"{name}.json")
-        if not args.no_bench:
-            append_bench_record(bench_path, timing)
         print(f"{name:>22}: {len(result.x_values)} points x "
               f"{len(result.seeds)} seeds in {timing.wall_time:5.2f}s "
               f"({timing.cells_computed} cells, {timing.cache_hits} cache "
               f"hits) -> {outdir}/{name}.{{txt,svg,csv,json}}")
     _write_obs(args, session)
-    if not args.no_bench:
-        print(f"wrote perf records to {bench_path}")
     return 0
 
 

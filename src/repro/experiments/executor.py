@@ -25,9 +25,8 @@ tests compare against.
 
 Every execution also produces a :class:`SweepTiming` -- wall time, cells
 computed vs. cache hits, simulated iterations, and kernel events per
-second (via :func:`repro.simkernel.engine.events_processed_total`) --
-which :func:`append_bench_record` folds into a ``BENCH_sweeps.json``
-perf-trajectory file.
+second (via :func:`repro.simkernel.engine.events_processed_total`); the
+CLI prints it and ``perfbench/`` reads its work counters.
 """
 
 from __future__ import annotations
@@ -308,55 +307,6 @@ class SweepTiming:
             "cell_wall_p95_s": self.cell_wall_p95,
             "cell_wall_max_s": self.cell_wall_max,
         }
-
-
-#: Distinguishes concurrent same-process writers of one bench file.
-_BENCH_TMP_SEQ = iter(range(1, 1 << 62))
-
-
-def append_bench_record(path: "str | os.PathLike",
-                        timing: SweepTiming) -> dict:
-    """Fold one timing record into a ``BENCH_sweeps.json`` file.
-
-    Records are keyed by ``(scenario, jobs)``; the latest run wins, and
-    the file stays sorted so diffs across commits read as a trajectory.
-    Document version 5 dropped the ``mode`` key (``jobs > 1`` has one
-    backend); legacy records still parse, with any ``mode`` ignored and
-    the later record winning when two legacy records share a key.  The
-    write is atomic (temp file + ``os.replace``, the cell cache's
-    pattern), so a reader -- or a concurrent sweep invocation -- never
-    observes a half-written file; an existing file that fails to parse
-    is preserved next to the new one (``.corrupt`` suffix) rather than
-    silently destroyed.  Returns the document written.
-    """
-    path = Path(path)
-    records: "dict[tuple[str, int], dict]" = {}
-    try:
-        text = path.read_text()
-    except OSError:
-        text = None
-    if text is not None:
-        try:
-            for record in json.loads(text)["records"]:
-                record.pop("mode", None)
-                records[(str(record["scenario"]),
-                         int(record["jobs"]))] = record
-        except (ValueError, TypeError, KeyError, AttributeError):
-            # Unparseable perf file: keep the evidence, start fresh.
-            path.with_name(f"{path.name}.corrupt").write_text(text)
-            records = {}
-    record = timing.to_dict()
-    records[(record["scenario"], record["jobs"])] = record
-    doc = {"version": 5, "tool": "sweep-bench",
-           "records": [records[key] for key in sorted(records)]}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Unique per process *and* per call: concurrent appenders (processes
-    # or threads) each replace a complete document, never share a temp.
-    tmp = path.with_name(
-        f"{path.name}.tmp{os.getpid()}-{next(_BENCH_TMP_SEQ)}")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return doc
 
 
 # -- the executor -----------------------------------------------------------

@@ -39,7 +39,7 @@ def events_processed_total() -> int:
 
     Discrete-event loop events plus analytic load-kernel queries (see
     :func:`count_kernel_events`); the sweep executor samples deltas of
-    this around each cell, so ``engine_events`` in ``BENCH_sweeps.json``
+    this around each cell, so ``SweepTiming.engine_events``
     measures kernel throughput for *both* simulator families.
     """
     return _EVENTS_TOTAL[0]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import repro
 from repro.analysis.demo import run_demo
-from repro.analysis.linter import lint_paths
+from repro.analysis import lint_paths
 
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
 

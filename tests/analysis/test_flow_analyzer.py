@@ -14,10 +14,11 @@ Three layers of coverage:
 import textwrap
 
 from repro.analysis.flow import (analyze_package, apply_baseline,
-                                 effects_report, flow_payload,
-                                 format_effects_report, load_baseline)
+                                 effects_report, format_effects_report,
+                                 load_baseline)
 from repro.analysis.flow import dims
 from repro.analysis.flow.contracts import FlowContracts
+from repro.analysis.schema import findings_payload
 
 from tests.analysis.conftest import REPO_ROOT
 
@@ -169,8 +170,9 @@ def test_effects_report_scope_and_shape(repro_flow):
 # -- baselines ----------------------------------------------------------------
 
 def test_baseline_filters_known_findings(fixture_flow, tmp_path):
-    payload = flow_payload(fixture_flow.findings,
-                           fixture_flow.functions_analyzed)
+    payload = findings_payload(
+        "simflow", fixture_flow.findings,
+        functions_analyzed=fixture_flow.functions_analyzed)
     baseline_file = tmp_path / "baseline.json"
     import json
 

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis.linter import lint_source
+from repro.analysis import lint_source
 
 
 def lint(code):
@@ -211,7 +211,7 @@ class TestSL006:
 
 
 def test_every_rule_has_a_registered_code():
-    from repro.analysis.rules import all_rules
+    from repro.analysis import all_rules
 
     rules = all_rules()
     assert len(rules) >= 6

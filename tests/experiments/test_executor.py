@@ -19,7 +19,6 @@ from repro.errors import ExperimentError
 from repro.experiments.executor import (
     CellCache,
     CellResult,
-    append_bench_record,
     cell_digest,
     compute_cell,
     execute_sweep,
@@ -195,30 +194,6 @@ def test_timing_record_fields():
     assert record["cells_total"] == 6
     assert record["wall_time_s"] > 0
     assert timing.iterations > 0  # the tiny app simulates 3 iterations/run
-
-
-def test_append_bench_record_merges_by_scenario_and_jobs(tmp_path):
-    path = tmp_path / "BENCH_sweeps.json"
-    _result, timing = execute_sweep(TINY, seeds=1)
-    doc = append_bench_record(path, timing)
-    assert len(doc["records"]) == 1
-
-    _result, timing2 = execute_sweep(TINY, seeds=1, jobs=2)
-    doc = append_bench_record(path, timing2)
-    assert len(doc["records"]) == 2  # same scenario, different jobs
-
-    doc = append_bench_record(path, timing)
-    assert len(doc["records"]) == 2  # (scenario, jobs=1) overwritten
-    on_disk = json.loads(path.read_text())
-    assert [r["jobs"] for r in on_disk["records"]] == [1, 2]
-
-
-def test_append_bench_record_survives_corrupt_file(tmp_path):
-    path = tmp_path / "BENCH_sweeps.json"
-    path.write_text("not json at all")
-    _result, timing = execute_sweep(TINY, seeds=1)
-    doc = append_bench_record(path, timing)
-    assert len(doc["records"]) == 1
 
 
 # -- progress callback -------------------------------------------------------

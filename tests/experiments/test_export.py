@@ -42,7 +42,7 @@ def test_to_csv_file(tmp_path):
 def test_cli_export_flags(tmp_path, capsys):
     json_path = tmp_path / "fig4.json"
     csv_path = tmp_path / "fig4.csv"
-    assert main(["fig4", "--seeds", "1", "--no-cache", "--no-bench",
+    assert main(["fig4", "--seeds", "1", "--no-cache",
                  "--json", str(json_path), "--csv", str(csv_path)]) == 0
     assert json_path.exists() and csv_path.exists()
     payload = json.loads(json_path.read_text())

@@ -1,23 +1,17 @@
 """Regression tests for the executor's failure paths.
 
-Three bugfixes are locked in here:
+Two bugfixes are locked in here:
 
 * a cell raising inside a fabric worker (``jobs > 1``) surfaces as an
   :class:`ExperimentError` carrying ``(scenario, x, seed)`` -- not a bare
   exception with no context -- whose cause holds the worker's formatted
   traceback (exception objects cannot cross the restricted unpickler);
-* ``append_bench_record`` writes atomically (tmp + ``os.replace``) so
-  concurrent sweep invocations can never leave a half-written perf file,
-  and an unparseable existing file is preserved (``.corrupt``) rather
-  than silently clobbered or crashed on;
 * every flavor of cache-entry corruption -- empty file, truncated JSON,
   binary garbage, digest mismatch, wrong ``CACHE_FORMAT``, mismatched
   payload structure -- is a silent recompute, never an exception.
 """
 
 import json
-import threading
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +20,6 @@ from repro.errors import ExperimentError
 from repro.experiments.executor import (
     CACHE_FORMAT,
     CellCache,
-    append_bench_record,
     cell_digest,
     compute_cell,
     execute_sweep,
@@ -102,95 +95,6 @@ def test_pool_failure_does_not_poison_cache_with_partial_grid(tmp_path):
     assert "ValueError" in cause
     assert "spec builder exploded" in cause
     assert "_failing_build" in cause
-
-
-# -- bench record atomicity ---------------------------------------------------
-
-
-def _timing(scenario="bench-test", jobs=1):
-    _result, timing = execute_sweep(OK, seeds=1, jobs=jobs)
-    return timing
-
-
-def test_bench_write_is_atomic_no_tmp_left_behind(tmp_path):
-    path = tmp_path / "BENCH_sweeps.json"
-    append_bench_record(path, _timing())
-    leftovers = [p for p in tmp_path.iterdir() if p.name != path.name]
-    assert leftovers == []
-    assert json.loads(path.read_text())["version"] == 5
-
-
-def test_corrupt_bench_file_preserved_not_clobbered(tmp_path):
-    path = tmp_path / "BENCH_sweeps.json"
-    path.write_text("{ definitely not json")
-    doc = append_bench_record(path, _timing())
-    assert len(doc["records"]) == 1
-    corrupt = tmp_path / "BENCH_sweeps.json.corrupt"
-    assert corrupt.read_text() == "{ definitely not json"
-    assert json.loads(path.read_text()) == doc
-
-
-def test_bench_reader_ignores_legacy_mode_later_record_wins(tmp_path):
-    path = tmp_path / "BENCH_sweeps.json"
-    legacy = {"version": 4, "tool": "sweep-bench",
-              "records": [{"scenario": "fig7", "mode": "fabric", "jobs": 4,
-                           "wall_time_s": 1.0},
-                          {"scenario": "fig7", "mode": "pool", "jobs": 4,
-                           "wall_time_s": 2.0},
-                          {"scenario": "fig7", "mode": "pool", "jobs": 1,
-                           "wall_time_s": 3.0}]}
-    path.write_text(json.dumps(legacy))
-    doc = append_bench_record(path, _timing())
-    assert doc["version"] == 5
-    assert all("mode" not in record for record in doc["records"])
-    keys = [(r["scenario"], r["jobs"]) for r in doc["records"]]
-    assert keys == [("fig7", 1), ("fig7", 4), ("ok-exec", 1)]
-    # (fig7, 4) collided: the later legacy record won.
-    assert doc["records"][1]["wall_time_s"] == 2.0
-
-
-def test_committed_bench_file_has_the_current_shape(tmp_path):
-    committed = Path(__file__).resolve().parents[2] / "BENCH_sweeps.json"
-    doc = json.loads(committed.read_text())
-    assert doc["version"] == 5
-    assert doc["tool"] == "sweep-bench"
-    keys = [(r["scenario"], r["jobs"]) for r in doc["records"]]
-    assert keys == sorted(set(keys))  # one record per key, sorted
-    for record in doc["records"]:
-        assert "mode" not in record
-        assert record["cells_total"] == (record["cells_computed"]
-                                         + record["cache_hits"])
-        assert record["wall_time_s"] > 0
-    # Folding a fresh record into it keeps every committed key.
-    path = tmp_path / "BENCH_sweeps.json"
-    path.write_text(committed.read_text())
-    folded = append_bench_record(path, _timing())
-    assert set(keys) < {(r["scenario"], r["jobs"]) for r in folded["records"]}
-
-
-def test_concurrent_bench_appends_never_corrupt_the_file(tmp_path):
-    path = tmp_path / "BENCH_sweeps.json"
-    timing = _timing()
-    import dataclasses
-
-    def hammer(worker):
-        for i in range(10):
-            record = dataclasses.replace(
-                timing, scenario=f"hammer-{worker}", jobs=i % 3 + 1)
-            append_bench_record(path, record)
-
-    threads = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    # Interleaved read-modify-write cycles may drop records, but the
-    # file itself must always parse: every observable state is some
-    # complete, valid document (tmp + os.replace).
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 5
-    assert len(doc["records"]) >= 1
-    assert not list(tmp_path.glob("*.tmp*"))
 
 
 # -- cache corruption corpus --------------------------------------------------

@@ -137,7 +137,7 @@ def test_cli_writes_jsonl_trace_and_metrics(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.json"
-    code = cli.main(["fig4", "--seeds", "1", "--no-cache", "--no-bench",
+    code = cli.main(["fig4", "--seeds", "1", "--no-cache",
                      "--trace", str(trace), "--metrics-json", str(metrics)])
     assert code == 0
     lines = trace.read_text().strip().split("\n")
@@ -151,7 +151,7 @@ def test_cli_writes_jsonl_trace_and_metrics(tmp_path, capsys, monkeypatch):
 def test_cli_chrome_trace_loads(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     trace = tmp_path / "trace.json"
-    code = cli.main(["fig4", "--seeds", "1", "--no-cache", "--no-bench",
+    code = cli.main(["fig4", "--seeds", "1", "--no-cache",
                      "--trace", str(trace), "--trace-format", "chrome"])
     assert code == 0
     doc = json.loads(trace.read_text())
@@ -166,7 +166,7 @@ def test_cli_trace_runs_are_byte_identical(tmp_path, monkeypatch):
     paths = []
     for name in ("one.jsonl", "two.jsonl"):
         path = tmp_path / name
-        assert cli.main(["fig4", "--seeds", "1", "--no-cache", "--no-bench",
+        assert cli.main(["fig4", "--seeds", "1", "--no-cache",
                          "--trace", str(path)]) == 0
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
@@ -175,7 +175,7 @@ def test_cli_trace_runs_are_byte_identical(tmp_path, monkeypatch):
 def test_cli_report_writes_markdown_and_gantt(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outdir = tmp_path / "run-report"
-    code = cli.main(["fig4", "--seeds", "1", "--no-cache", "--no-bench",
+    code = cli.main(["fig4", "--seeds", "1", "--no-cache",
                      "--report", str(outdir)])
     assert code == 0
     report = (outdir / "report.md").read_text()
@@ -192,7 +192,7 @@ def test_cli_report_is_byte_identical_across_jobs(tmp_path, monkeypatch):
     outputs = []
     for jobs, name in (("1", "a"), ("2", "b")):
         outdir = tmp_path / name
-        assert cli.main(["fig4", "--seeds", "1", "--no-cache", "--no-bench",
+        assert cli.main(["fig4", "--seeds", "1", "--no-cache",
                          "--jobs", jobs, "--report", str(outdir)]) == 0
         outputs.append(((outdir / "report.md").read_bytes(),
                         (outdir / "gantt.svg").read_bytes()))
