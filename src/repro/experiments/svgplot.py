@@ -8,8 +8,6 @@ fig4 --svg fig4.svg`` produces a file any browser displays.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from repro.errors import ExperimentError
 from repro.experiments.runner import SweepResult
 
@@ -21,6 +19,13 @@ _MARGIN_LEFT = 70.0
 _MARGIN_RIGHT = 160.0
 _MARGIN_TOP = 50.0
 _MARGIN_BOTTOM = 55.0
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content -- the output
+    of ``xml.sax.saxutils.escape``, without importing ``xml.sax`` (which
+    drags ``urllib.request``, ``http.client`` and ``email`` in)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def ticks(lo: float, hi: float, n: int = 5) -> "list[float]":

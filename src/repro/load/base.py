@@ -16,8 +16,8 @@ The two operations the simulators need are exact (no time-stepping):
 Both are answered from a cached prefix sum of per-segment availability
 integrals (compiled by :mod:`repro.load.kernels` and invalidated on
 every mutation), so a query costs O(log segments) instead of a segment
-walk.  The kernel module also keeps pure-Python reference
-implementations of the same algebra that CI cross-checks bit-for-bit.
+walk.  The test suite keeps a pure-Python reference of the same algebra
+and cross-checks the kernels against it bit-for-bit.
 """
 
 from __future__ import annotations

@@ -18,10 +18,22 @@ processes per processor").
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
 from repro.errors import LoadModelError
 from repro.load.base import LoadModel, LoadTrace
+
+
+def _close_segment(ends: "list[float]", counts: "list[int]", end: float,
+                   n_live: int) -> None:
+    """End the open segment at ``end`` with ``n_live`` processes, merging
+    into the previous pending segment when its count is the same (a pop
+    and a push at one instant leave the count unchanged)."""
+    if counts and counts[-1] == n_live:
+        ends[-1] = end
+    else:
+        ends.append(end)
+        counts.append(n_live)
 
 
 class HyperexponentialLoadModel(LoadModel):
@@ -63,47 +75,67 @@ class HyperexponentialLoadModel(LoadModel):
         """Squared coefficient of variation of the lifetime: ``2/a - 1``."""
         return 2.0 / self.branch_prob - 1.0
 
-    def _lifetime(self, rng) -> float:
-        if rng.random() >= self.branch_prob:
-            return 0.0
-        return float(rng.exponential(self.mean_lifetime / self.branch_prob))
-
     def build(self, rng, horizon: float) -> LoadTrace:
         if self.utilization == 0.0:
             def extend_idle(trace: LoadTrace, new_horizon: float) -> None:
                 trace.append_segment(new_horizon, 0)
             return LoadTrace([0.0, max(horizon, 1.0)], [0], extender=extend_idle)
 
-        # State shared by successive extend() calls: departure-time heap of
-        # live processes, and the next arrival instant.
-        state = {
-            "departures": [],            # min-heap of departure times
-            "next_arrival": float(rng.exponential(1.0 / self.arrival_rate)),
-        }
+        # Loop constants, equal to the per-arrival expressions
+        # ``mean_lifetime / branch_prob`` and ``1.0 / arrival_rate``.
+        branch_prob = self.branch_prob
+        life_scale = self.mean_lifetime / self.branch_prob
+        gap_scale = 1.0 / self.arrival_rate
+        random = rng.random
+        exponential = rng.exponential
+        # State shared by successive extend() calls: the departure-time
+        # min-heap of live processes and the next arrival instant.
+        departures: "list[float]" = []
+        next_arrival = exponential(gap_scale)
 
         def extend(trace: LoadTrace, new_horizon: float) -> None:
-            departures = state["departures"]
-            while trace.horizon < new_horizon:
-                now = trace.horizon
-                n_live = len(departures)
-                next_departure = departures[0] if departures else float("inf")
-                next_event = min(state["next_arrival"], next_departure)
-                if next_event > new_horizon:
-                    trace.append_segment(new_horizon, n_live)
-                    return
-                if next_event > now:
-                    trace.append_segment(next_event, n_live)
-                if next_departure <= state["next_arrival"]:
-                    # This heap orders *lifetime departures* local to one
-                    # load source; it never touches the event loop.
-                    heapq.heappop(departures)  # simlint: disable=SL003
+            # Events are consumed in time order (a departure first on a
+            # tie) up to and including the first one at ``new_horizon``;
+            # an arrival draws ``random()`` for the lifetime branch,
+            # ``exponential`` for a live lifetime, then ``exponential``
+            # for the next gap.  A segment ends only where the count
+            # changes (a push or a pop) and at ``new_horizon``; the run
+            # commits in one mutation.
+            nonlocal next_arrival
+            new_horizon = float(new_horizon)
+            arrival = next_arrival
+            now = last = trace.horizon
+            ends: "list[float]" = []
+            counts: "list[int]" = []
+            # The departures heap orders *lifetime departures* local to
+            # one load source; it never touches the event loop.
+            while last < new_horizon:
+                if departures and departures[0] <= arrival:
+                    event = departures[0]
+                    if event > new_horizon:
+                        break
+                    if event > now:
+                        _close_segment(ends, counts, event, len(departures))
+                        now = event
+                    heappop(departures)  # simlint: disable=SL003
+                    last = event
                 else:
-                    arrival = state["next_arrival"]
-                    life = self._lifetime(rng)
-                    if life > 0.0:
-                        heapq.heappush(departures, arrival + life)  # simlint: disable=SL003
-                    state["next_arrival"] = arrival + float(
-                        rng.exponential(1.0 / self.arrival_rate))
+                    if arrival > new_horizon:
+                        break
+                    if random() < branch_prob:
+                        life = exponential(life_scale)
+                        if life > 0.0:
+                            if arrival > now:
+                                _close_segment(ends, counts, arrival,
+                                               len(departures))
+                                now = arrival
+                            heappush(departures, arrival + life)  # simlint: disable=SL003
+                    last = arrival
+                    arrival = arrival + exponential(gap_scale)
+            if new_horizon > now:
+                _close_segment(ends, counts, new_horizon, len(departures))
+            next_arrival = arrival
+            trace._append_run(ends, counts)
 
         trace = LoadTrace([0.0, 1e-12], [0], extender=extend)
         extend(trace, max(horizon, 1.0))

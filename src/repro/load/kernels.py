@@ -21,9 +21,10 @@ whenever the trace mutates (``append_segment``, lazy extension).
 
 Float-identity contract
 -----------------------
-Every kernel result is **bit-for-bit identical** to the scalar reference
-implementations kept in this module (:func:`integrate_availability_scalar`,
-:func:`advance_work_scalar`), which CI cross-checks.  The shared algebra:
+Every kernel result is **bit-for-bit identical** to a pure-Python
+scalar reference of the same algebra, which the test suite keeps as its
+oracle (``tests/load/oracles.py``) and CI cross-checks.  The shared
+algebra:
 
 * per-segment integral ``seg[i] = (times[i+1] - times[i]) / (1 + n_i)``,
 * prefix sum ``cum`` accumulated left-to-right (``numpy.cumsum`` over
@@ -206,86 +207,6 @@ def extend_kernel(old: TraceKernel, epoch: int, times: Sequence[float],
     kernel._den_arr = None
     kernel._cum_arr = None
     return kernel
-
-
-# -- scalar reference path ---------------------------------------------------
-#
-# Pure-Python implementations of the same algebra, recomputing the prefix
-# sum with a plain left-to-right loop on every call.  CI cross-checks the
-# kernel against these; they share the trace's extension helpers so both
-# paths materialize identical trace states.
-
-
-def _reference_cum(trace: "LoadTrace") -> "list[float]":
-    """The prefix sum, accumulated exactly like ``numpy.cumsum``."""
-    times = trace._times
-    values = trace._values
-    cum = [0.0]
-    acc = 0.0
-    for i in range(len(values)):
-        acc += (times[i + 1] - times[i]) / (1.0 + values[i])
-        cum.append(acc)
-    return cum
-
-
-def _reference_integral_to(trace: "LoadTrace", cum: "list[float]",
-                           t: float) -> float:
-    idx = bisect_right(trace._times, t) - 1
-    if idx < 0 or idx >= len(trace._values):
-        raise LoadModelError(
-            f"time {t} is outside the materialized trace "
-            f"[0, {trace._times[-1]}) -- extension failed")
-    return cum[idx] + (t - trace._times[idx]) / (1.0 + trace._values[idx])
-
-
-def integrate_availability_scalar(trace: "LoadTrace", t0: float,
-                                  t1: float) -> float:
-    """Scalar reference for :meth:`LoadTrace.integrate_availability`."""
-    if t0 < 0:
-        raise LoadModelError(f"negative start time {t0}")
-    if t1 < t0:
-        raise LoadModelError(f"empty window [{t0}, {t1}]")
-    if t1 == t0:
-        return 0.0
-    trace._ensure(t1)
-    cum = _reference_cum(trace)
-    return (_reference_integral_to(trace, cum, t1)
-            - _reference_integral_to(trace, cum, t0))
-
-
-def advance_work_scalar(trace: "LoadTrace", t0: float,
-                        demand: float) -> float:
-    """Scalar reference for :meth:`LoadTrace.advance_work`."""
-    if demand < 0:
-        raise LoadModelError(f"negative compute demand {demand}")
-    if demand == 0:
-        return t0
-    if t0 < 0:
-        raise LoadModelError(f"negative start time {t0}")
-    trace._ensure(t0)
-    cum = _reference_cum(trace)
-    target = _reference_integral_to(trace, cum, t0) + demand
-    while cum[-1] < target:
-        trace._extend_for_integral(target - cum[-1])
-        cum = _reference_cum(trace)
-    idx = bisect_left(cum, target) - 1
-    if idx < 0:
-        idx = 0
-    finish = trace._times[idx] + (target - cum[idx]) * (1.0 + trace._values[idx])
-    return finish if finish > t0 else t0
-
-
-def value_at_scalar(trace: "LoadTrace", t: float) -> int:
-    """Scalar reference for :meth:`LoadTrace.value_at`."""
-    if t < 0:
-        raise LoadModelError(f"negative time {t}")
-    trace._ensure(t)
-    idx = bisect_right(trace._times, t) - 1
-    if idx < 0 or idx >= len(trace._values):
-        raise LoadModelError(
-            f"time {t} is outside the materialized trace "
-            f"[0, {trace._times[-1]}) -- extension failed")
-    return trace._values[idx]
 
 
 # -- per-run batch state -----------------------------------------------------

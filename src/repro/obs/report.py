@@ -20,7 +20,6 @@ CLI (``python -m repro.obs report``) and ``python -m repro.experiments
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from repro.obs.analyze import (TraceSet, adaptation_overhead,
                                decision_summary, format_cell,
@@ -197,8 +196,8 @@ def render_gantt_svg(ts: TraceSet, cell: "tuple | None" = None,
     slices in :data:`GANTT_ACCENTS`, rebalances as thin ticks.  Rows are
     labelled with the series name and its mean host utilization.
     """
-    from repro.experiments.svgplot import (PALETTE, fmt_tick, svg_header,
-                                           ticks)
+    from repro.experiments.svgplot import (PALETTE, escape, fmt_tick,
+                                           svg_header, ticks)
 
     cells = ts.cells()
     if cell is None and cells:

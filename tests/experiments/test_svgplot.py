@@ -88,3 +88,11 @@ def test_write_svg_file(tmp_path):
     write_svg(sample_result(), path)
     root = ET.parse(path).getroot()
     assert root.tag == f"{SVG_NS}svg"
+
+
+def test_escape_matches_xml_sax():
+    from xml.sax.saxutils import escape as sax_escape
+
+    from repro.experiments.svgplot import escape
+    for text in ("plain", "", "a & b < c > d", "&amp;<<>>&", "\"quoted\" 'x'"):
+        assert escape(text) == sax_escape(text)

@@ -1,11 +1,11 @@
 """Kernel vs. scalar-reference cross-checks (the float-identity contract).
 
 The compiled :class:`~repro.load.kernels.TraceKernel` path must be
-**bit-for-bit** identical to the pure-Python scalar reference kept in the
-same module -- not approximately equal.  Every comparison here is ``==``
-on raw floats, over randomized lazily-extended traces, including
-``beyond_horizon="hold"`` growth and extender appends that merge into the
-final segment (the edge cases around ``_ensure``).
+**bit-for-bit** identical to the pure-Python scalar reference in
+``tests/load/oracles.py`` -- not approximately equal.  Every comparison
+here is ``==`` on raw floats, over randomized lazily-extended traces,
+including ``beyond_horizon="hold"`` growth and extender appends that
+merge into the final segment (the edge cases around ``_ensure``).
 """
 
 import pytest
@@ -17,14 +17,16 @@ from repro.load.base import ConstantExtender, LoadTrace
 from repro.load.kernels import (
     HostBatch,
     advance_work_many,
-    advance_work_scalar,
     compile_trace,
     extend_kernel,
     integrate_availability_many,
+)
+from repro.platform.host import Host, HostSpec
+from tests.load.oracles import (
+    advance_work_scalar,
     integrate_availability_scalar,
     value_at_scalar,
 )
-from repro.platform.host import Host, HostSpec
 
 
 def make_trace(segments, **kwargs):

@@ -36,3 +36,24 @@ def test_error_hierarchy():
         assert issubclass(exc, errors.ReproError)
     assert issubclass(errors.CommunicatorError, errors.MpiError)
     assert issubclass(errors.SchedulingError, errors.SimulationError)
+
+
+def test_import_path_skips_network_stdlib():
+    """Importing the package and the executor loads none of
+    ``urllib.request``, ``http.client`` and ``email`` (``xml.sax`` pulls
+    in all three), which would only lengthen every worker's start-up."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, repro, repro.experiments.executor; "
+             "print(sorted(m for m in ('urllib.request', 'http.client', "
+             "'email') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
